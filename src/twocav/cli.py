@@ -43,7 +43,7 @@ def write_csv(path, comment, header, rows):
 
 
 def _evolve(scn):
-    return dynamics.evolve_ode(
+    return dynamics.evolve(
         scn.initial_state(), scn.params(), scn.model, scn.time_grid()
     )
 

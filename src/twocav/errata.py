@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from . import wigner
+from . import dynamics, wigner
 from .errors import DomainError
 
 
@@ -51,29 +51,9 @@ def printed_populations(rho0, theta_t, m1):
 
 
 def corrected_populations(rho0, theta_t, m1):
-    """Populations with the exponent and coefficient defects repaired."""
-    if m1 < 0:
-        raise DomainError("m1 must be non-negative")
-    r0 = np.asarray(rho0, dtype=complex)
-    m = float(m1)
-    s0 = (r0[1, 1] + r0[2, 2]).real
-    e_slow = math.exp(-2.0 * theta_t * m)
-    e_mid = math.exp(-theta_t * (1.0 + 2.0 * m))
-    e_fast = math.exp(-theta_t * (2.0 + 2.0 * m))
-
-    r44 = r0[3, 3].real * e_fast
-    r22 = (r0[1, 1].real + (1.0 + m) * r0[3, 3].real) * e_mid - (
-        1.0 + m
-    ) * r0[3, 3].real * e_fast
-    r33 = (r0[2, 2].real + (1.0 + m) * r0[3, 3].real) * e_mid - (
-        1.0 + m
-    ) * r0[3, 3].real * e_fast
-    r11 = (
-        (r0[0, 0].real + (1.0 + m) * s0 + (1.0 + m) ** 2 * r0[3, 3].real) * e_slow
-        - (1.0 + m) * (s0 + 2.0 * (1.0 + m) * r0[3, 3].real) * e_mid
-        + (1.0 + m) ** 2 * r0[3, 3].real * e_fast
-    )
-    return r11, r22, r33, r44
+    """Repaired populations: the diagonal of the re-derived vacuum propagator."""
+    rho = dynamics.evolve_analytic_vacuum(rho0, theta_t, m1)
+    return tuple(np.real(np.diagonal(rho)))
 
 
 def displaced_parity_corrected(m, mp, alpha):

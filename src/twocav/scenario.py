@@ -69,11 +69,9 @@ class Scenario:
         return np.linspace(0.0, self.t_max, self.steps)
 
     def summary(self):
-        """One-line key=value record for CSV comment headers."""
-        items = dict(self.raw)
-        items.setdefault("closure", self.closure)
-        items.setdefault("index_order", self.index_order)
-        items.setdefault("elements", self.elements)
+        """One-line key=value record for CSV comment headers, overrides included."""
+        items = dict(self.raw, closure=self.closure,
+                     index_order=self.index_order, elements=self.elements)
         return " ".join("%s=%s" % (k, items[k]) for k in sorted(items))
 
 
@@ -83,9 +81,12 @@ def _get(table, key, convert, default=None, required=False):
             raise ScenarioError("scenario is missing required key '%s'" % key)
         return default
     try:
-        return convert(table[key])
+        value = convert(table[key])
     except (TypeError, ValueError):
         raise ScenarioError("scenario key '%s' has invalid value %r" % (key, table[key]))
+    if convert is float and not math.isfinite(value):
+        raise ScenarioError("scenario key '%s' must be finite, got %r" % (key, table[key]))
+    return value
 
 
 def _parse_bool(text):

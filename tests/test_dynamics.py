@@ -10,6 +10,9 @@ from twocav.states import FockWindow
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
+ENGINES = (dynamics.evolve, dynamics.evolve_ode)
+
+
 def bell_epr():
     return states.build_epr(INV_SQRT2, INV_SQRT2)
 
@@ -194,31 +197,81 @@ def test_evolve_grid_validation():
     rho = bell_epr()
     params = dynamics.EvolutionParams()
     model = dynamics.Markovian(1.0)
-    with pytest.raises(DomainError):
-        dynamics.evolve_ode(rho, params, model, [1.0, 2.0])
-    with pytest.raises(DomainError):
-        dynamics.evolve_ode(rho, params, model, [0.0, 1.0, 0.5])
+    for engine in ENGINES:
+        with pytest.raises(DomainError, match="start at 0"):
+            engine(rho, params, model, [1.0, 2.0])
+        with pytest.raises(DomainError, match="strictly increasing"):
+            engine(rho, params, model, [0.0, 1.0, 0.5])
+        with pytest.raises(DomainError, match="finite"):
+            engine(rho, params, model, [0.0, 1.0, np.inf])
+        with pytest.raises(DomainError, match="finite"):
+            engine(rho, params, model, [0.0, np.nan])
     with pytest.raises(DomainError):
         dynamics.evolve_ode(rho, params, model, [0.0, 1.0], substeps=0)
 
 
 def test_single_point_grid_returns_initial_state():
-    traj = dynamics.evolve_ode(
-        bell_epr(), dynamics.EvolutionParams(), dynamics.Markovian(1.0), [0.0]
-    )
-    assert traj.states.shape == (1, 4, 4)
-    assert np.allclose(traj.states[0], bell_epr())
+    for engine in ENGINES:
+        traj = engine(
+            bell_epr(), dynamics.EvolutionParams(), dynamics.Markovian(1.0), [0.0]
+        )
+        assert traj.states.shape == (1, 4, 4)
+        assert np.allclose(traj.states[0], bell_epr())
 
 
 def test_overflow_surfaces_during_integration():
     model = dynamics.NonMarkovianOhmic(1.0, 5.0)
-    with pytest.raises((OverflowGuardError, IntegrationError)):
-        dynamics.evolve_ode(
-            bell_epr(),
-            dynamics.EvolutionParams(),
-            model,
-            np.linspace(0.0, 200.0, 40),
-        )
+    for engine in ENGINES:
+        with pytest.raises((OverflowGuardError, IntegrationError)):
+            engine(
+                bell_epr(),
+                dynamics.EvolutionParams(),
+                model,
+                np.linspace(0.0, 200.0, 40),
+            )
+
+
+# Each rate model with a horizon short of the Ohmic re-amplification.
+ORACLE_MODELS = (
+    (dynamics.Markovian(1.0), 3.0),
+    (dynamics.NonMarkovianOhmic(1.0, 1.0), 1.0),
+    (dynamics.KernelIntegral(1.0), 3.0),
+)
+
+
+def test_exact_propagator_matches_rk4_oracle():
+    rho0 = states.pure_state(np.array([0.5, 0.5j, -0.5, 0.5], dtype=complex))
+    configs = (
+        dynamics.EvolutionParams(),
+        dynamics.EvolutionParams(window=FockWindow(1, 2), nbar=0.3),
+        dynamics.EvolutionParams(
+            window=FockWindow(2, 2), closure_mode=dynamics.PAPER_CLOSURE
+        ),
+        dynamics.EvolutionParams(window=FockWindow(1, 1), rho13_strict=True),
+    )
+    for model, t_max in ORACLE_MODELS:
+        times = np.linspace(0.0, t_max, 40)
+        for params in configs:
+            exact = dynamics.evolve(rho0, params, model, times)
+            rk4 = dynamics.evolve_ode(rho0, params, model, times)
+            assert np.array_equal(exact.times, times)
+            assert np.max(np.abs(exact.states - rk4.states)) < 1e-8
+
+
+def test_exact_propagator_matches_vacuum_closed_form():
+    rho0 = states.pure_state(np.array([0.4, 0.5, 0.3j, -0.6], dtype=complex))
+    for model, t_max in ORACLE_MODELS:
+        times = np.linspace(0.0, t_max, 40)
+        for m in (0, 1, 2):
+            for strict in (False, True):
+                params = dynamics.EvolutionParams(
+                    window=FockWindow(m, m), rho13_strict=strict
+                )
+                exact = dynamics.evolve(rho0, params, model, times)
+                ana = dynamics.evolve_analytic_trajectory(
+                    rho0, model, times, m, rho13_strict=strict
+                )
+                assert np.max(np.abs(exact.states - ana.states)) < 1e-12
 
 
 def test_trajectory_rows_shape():

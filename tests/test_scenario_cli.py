@@ -51,6 +51,14 @@ def test_parse_validates_values():
         sc.parse_scenario(BASE.replace("state = epr", "state = ghz"))
     with pytest.raises(ScenarioError):
         sc.parse_scenario(BASE + "points = 7\n")
+    # Non-finite floats pass comparison-based range checks; parsing rejects them.
+    for old, bad in (("state = epr", "state = epr\na = nan\nd = nan"),
+                     ("gamma_m = 1.0", "gamma_m = nan"),
+                     ("t_max = 1.0", "t_max = inf"),
+                     ("t_max = 1.0", "t_max = 1.0\nq = nan"),
+                     ("t_max = 1.0", "t_max = 1.0\nnbar = -inf")):
+        with pytest.raises(ScenarioError):
+            sc.parse_scenario(BASE.replace(old, bad))
 
 
 def test_comments_and_blank_lines_ignored():
@@ -88,6 +96,8 @@ def test_cli_zero_duration_single_row(tmp_path):
 
 def test_cli_bad_scenario_exit_2(tmp_path):
     path = _write(tmp_path, "schema = 1\nstate = epr\n")
+    assert cli.main(["evolve", "--scenario", path, "--out", str(tmp_path)]) == 2
+    path = _write(tmp_path, BASE.replace("gamma_m = 1.0", "gamma_m = nan"))
     assert cli.main(["evolve", "--scenario", path, "--out", str(tmp_path)]) == 2
     assert cli.main(["evolve", "--scenario", str(tmp_path / "nope.txt"),
                      "--out", str(tmp_path)]) == 2
@@ -173,3 +183,16 @@ def test_cli_mode_flags_override_scenario(tmp_path):
     code = cli.main(["teleport", "--scenario", path, "--out", str(tmp_path),
                      "--index-order", "symmetric"])
     assert code == 0
+    # The header records the resolved values, not the scenario file's.
+    path = _write(tmp_path, BASE + "closure = leaky\nindex_order = printed\n")
+    out = tmp_path / "override"
+    code = cli.main(["teleport", "--scenario", path, "--out", str(out),
+                     "--mode", "paper", "--index-order", "symmetric",
+                     "--elements", "paper"])
+    assert code == 0
+    header = (out / "teleport.csv").read_text().splitlines()[0].split()
+    assert "closure=paper" in header
+    assert "index_order=symmetric" in header
+    assert "elements=paper" in header
+    assert "closure=leaky" not in header
+    assert "index_order=printed" not in header
