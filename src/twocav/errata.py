@@ -3,7 +3,9 @@
 Each function here reproduces a source formula exactly as printed so that
 tests can show where it disagrees with an independent oracle (the ODE
 integrator, the exponentiated displacement operator, or the brute-force
-discord), alongside the corrected form that agrees.  Nothing in this
+discord).  Where a corrected form exists it is the production one: the
+populations come from `dynamics.evolve_analytic_vacuum`, and the corrected
+displaced-parity element is `wigner.displaced_parity`.  Nothing in this
 module is used by the production paths.
 """
 
@@ -11,7 +13,7 @@ import math
 
 import numpy as np
 
-from . import dynamics, wigner
+from . import dynamics
 from .errors import DomainError
 
 
@@ -54,31 +56,6 @@ def corrected_populations(rho0, theta_t, m1):
     """Repaired populations: the diagonal of the re-derived vacuum propagator."""
     rho = dynamics.evolve_analytic_vacuum(rho0, theta_t, m1)
     return tuple(np.real(np.diagonal(rho)))
-
-
-def displaced_parity_corrected(m, mp, alpha):
-    """Closed-form displaced-parity element that matches the oracle.
-
-    K = (-1)^{m'} <m| D(2 alpha) |m'>, using the standard closed form of
-    displacement matrix elements with Laguerre argument |2 alpha|^2.
-    """
-    if m < 0 or mp < 0:
-        raise DomainError("Fock indices must be non-negative")
-    if m > mp:
-        return np.conj(displaced_parity_corrected(mp, m, alpha))
-    beta = 2.0 * complex(alpha)
-    b2 = abs(beta) ** 2
-    if mp == m:
-        power = 1.0 + 0.0j
-    else:
-        power = (-np.conj(beta)) ** (mp - m)
-    elem = (
-        math.sqrt(math.factorial(m) / math.factorial(mp))
-        * power
-        * math.exp(-0.5 * b2)
-        * wigner.laguerre_assoc(m, mp - m, b2)
-    )
-    return (-1.0) ** mp * elem
 
 
 def discord_second_branch_printed(rho):

@@ -148,17 +148,21 @@ def pure_state(amplitudes):
     return np.outer(psi, psi.conj())
 
 
+def _require_unit_norm(x, y, message):
+    # Written as "not <=" so that NaN and infinite amplitudes fail too.
+    if not abs(abs(x) ** 2 + abs(y) ** 2 - 1.0) <= NORM_TOL:
+        raise DomainError(message)
+
+
 def build_epr(a, d):
     """Pure state a|n1,m1> + d|n1+1,m1+1> as a density matrix."""
-    if abs(abs(a) ** 2 + abs(d) ** 2 - 1.0) > NORM_TOL:
-        raise DomainError("|a|^2 + |d|^2 must equal 1")
+    _require_unit_norm(a, d, "|a|^2 + |d|^2 must equal 1")
     return pure_state(np.array([a, 0.0, 0.0, d], dtype=complex))
 
 
 def build_noon(b, c):
     """Pure state b|n1,m1+1> + c|n1+1,m1> as a density matrix."""
-    if abs(abs(b) ** 2 + abs(c) ** 2 - 1.0) > NORM_TOL:
-        raise DomainError("|b|^2 + |c|^2 must equal 1")
+    _require_unit_norm(b, c, "|b|^2 + |c|^2 must equal 1")
     return pure_state(np.array([0.0, b, c, 0.0], dtype=complex))
 
 

@@ -2,10 +2,16 @@
 
 The Wigner function is assembled from displaced-parity matrix elements
 K[m, m'] = <m| D(alpha) P D(alpha)^dagger |m'> in the window's absolute
-Fock indices.  Two element sources exist: 'oracle' (default) exponentiates
-the truncated quadrature generator and is numerically exact within
-truncation, while 'paper' evaluates a printed closed form kept for the
-errata report (it is real-valued and fails Hermiticity off the origin).
+Fock indices.  For each mode the elements of the two window rows form a
+(G, 2, 2) table over G phase-space points, and one contraction turns the
+two tables and the window state into W; a single point is the G = 1 case.
+
+Two element sources fill the tables: 'oracle' (default) is the Laguerre
+closed form `displaced_parity`, while 'paper' evaluates a printed closed
+form kept for the errata report (it is real-valued and wrong off the
+origin).  `displaced_parity_oracle` (expm of the truncated generator) and
+`parity_table` (batched eigendecomposition) are independent test oracles
+for the closed form and are not used to build the Wigner function.
 """
 
 import math
@@ -51,7 +57,10 @@ def default_extent(window):
 
 
 def laguerre_assoc(n, k, x):
-    """Generalized Laguerre polynomial L_n^k(x) by three-term recurrence."""
+    """Generalized Laguerre polynomial L_n^k(x) by three-term recurrence.
+
+    x may be a numpy array; the recurrence is evaluated elementwise.
+    """
     if n < 0 or k < 0:
         raise DomainError("Laguerre indices must be non-negative")
     if n == 0:
@@ -62,27 +71,48 @@ def laguerre_assoc(n, k, x):
     return cur
 
 
+def displaced_parity(m, mp, alpha):
+    """Displaced-parity element K[m, m'] = (-1)^{m'} <m| D(2 alpha) |m'>.
+
+    Laguerre closed form of the displacement matrix element (Cahill and
+    Glauber, Phys. Rev. 177, 1857 (1969)), evaluated elementwise over an
+    array of alpha; for m' >= m it reads (-1)^{m'} sqrt(m!/m'!)
+    (-2 alpha^*)^{m'-m} e^{-2|alpha|^2} L_m^{m'-m}(4|alpha|^2), and m > m'
+    follows from Hermiticity.  numpy's 0**0 = 1 covers alpha = 0.
+    """
+    if m < 0 or mp < 0:
+        raise DomainError("Fock indices must be non-negative")
+    if m > mp:
+        return np.conj(displaced_parity(mp, m, alpha))
+    beta = 2.0 * np.asarray(alpha, dtype=complex)
+    b2 = np.abs(beta) ** 2
+    return (
+        (-1.0) ** mp
+        * math.sqrt(math.factorial(m) / math.factorial(mp))
+        * (-np.conj(beta)) ** (mp - m)
+        * np.exp(-0.5 * b2)
+        * laguerre_assoc(m, mp - m, b2)
+    )
+
+
 def displaced_parity_paper(m, mp, alpha):
     """Displaced-parity element from the printed closed form.
 
-    Evaluated verbatim (with the factorial ratio read as m!/m'!): for
-    m' >= m this is e^{-|a|^2} (-1)^m (2|a|)^{m'-m} sqrt(m!/m'!)
-    L_m^{m'-m}(|a|); m > m' follows from conjugate symmetry.  Correct at
-    alpha = 0 but disagrees with the oracle off the origin.
+    Evaluated verbatim (with the factorial ratio read as m!/m'!), elementwise
+    over an array of alpha: for m' >= m this is e^{-|a|^2} (-1)^m
+    (2|a|)^{m'-m} sqrt(m!/m'!) L_m^{m'-m}(|a|); m > m' follows from
+    conjugate symmetry.  Correct at alpha = 0 but disagrees with
+    displaced_parity off the origin.
     """
     if m < 0 or mp < 0:
         raise DomainError("Fock indices must be non-negative")
     if m > mp:
         return np.conj(displaced_parity_paper(mp, m, alpha))
-    a = abs(alpha)
-    if a == 0.0 and mp == m:
-        power = 1.0
-    else:
-        power = (2.0 * a) ** (mp - m)
+    a = np.abs(alpha)
     return (
-        math.exp(-a * a)
+        np.exp(-a * a)
         * (-1.0) ** m
-        * power
+        * (2.0 * a) ** (mp - m)
         * math.sqrt(math.factorial(m) / math.factorial(mp))
         * laguerre_assoc(m, mp - m, a)
     )
@@ -99,7 +129,7 @@ def _parity_from_displacement(d_rows, m_list):
 
 
 def displaced_parity_oracle(m, mp, alpha, cutoff=None, check=True):
-    """Displaced-parity element by exponentiating the truncated generator.
+    """Test oracle: displaced-parity element from the truncated generator.
 
     Builds D(alpha) = expm(alpha a^dag - alpha^* a) at the given Fock
     cutoff.  With check=True the value is compared against cutoff + 10 and
@@ -137,7 +167,7 @@ def suggested_cutoff(m_max, amax):
 
 
 def parity_table(alphas, window_index, cutoff):
-    """Batched oracle K tables for many phase-space points.
+    """Test oracle: batched K tables for many phase-space points.
 
     Returns an array of shape (len(alphas), 2, 2) holding K[m_p, m_q] for
     m in {window_index, window_index + 1}.  Uses D(alpha) =
@@ -166,72 +196,53 @@ def parity_table(alphas, window_index, cutoff):
     return core * np.exp(1j * phases[:, None, None] * dm[None, :, :])
 
 
-def _point_tables(window, alpha, beta, element_source):
-    if element_source == ORACLE:
-        amax = max(abs(alpha), abs(beta))
-        ka = parity_table([alpha], window.n1, suggested_cutoff(window.n1 + 1, amax))[0]
-        kb = parity_table([beta], window.m1, suggested_cutoff(window.m1 + 1, amax))[0]
-    elif element_source == PAPER:
-        rows_a = [window.n1, window.n1 + 1]
-        rows_b = [window.m1, window.m1 + 1]
-        ka = np.array(
-            [[displaced_parity_paper(p, q, alpha) for q in rows_a] for p in rows_a]
-        )
-        kb = np.array(
-            [[displaced_parity_paper(p, q, beta) for q in rows_b] for p in rows_b]
-        )
-    else:
+_ELEMENTS = {ORACLE: displaced_parity, PAPER: displaced_parity_paper}
+
+
+def _k_tables(points, index, element_source):
+    """Tables K[g, p, q] of shape (G, 2, 2) for rows {index, index + 1}."""
+    element = _ELEMENTS.get(element_source)
+    if element is None:
         raise DomainError("element_source must be 'paper' or 'oracle'")
-    return ka, kb
+    pts = np.asarray(points, dtype=complex)
+    rows = (index, index + 1)
+    return np.stack(
+        [np.stack([element(p, q, pts) for q in rows], axis=-1) for p in rows],
+        axis=-2,
+    )
+
+
+def _contract(rho, ka, kb):
+    """W[a, b] = (4/pi^2) sum rho[i,j,k,l] ka[a,k,i] kb[b,l,j], real part.
+
+    A 16-term contraction of rho with the mode-A tables followed by one
+    (Ga x 4)(4 x Gb) product with the mode-B tables.
+    """
+    rho4 = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+    left = (4.0 / math.pi**2) * np.einsum("ijkl,aki->alj", rho4, ka)
+    w = left.reshape(len(ka), 4) @ kb.reshape(len(kb), 4).T
+    residue = float(np.max(np.abs(w.imag)))
+    if residue > IMAG_TOL:
+        raise ConsistencyError("Wigner function has imaginary residue %g" % residue)
+    return w.real
 
 
 def wigner_joint(rho, alpha, beta, window=FockWindow(), element_source=ORACLE):
     """Joint Wigner function W(alpha, beta) of a window state."""
-    rho4 = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    ka, kb = _point_tables(window, alpha, beta, element_source)
-    val = (4.0 / math.pi**2) * np.einsum("ijkl,ki,lj->", rho4, ka, kb)
-    if abs(val.imag) > IMAG_TOL:
-        raise ConsistencyError(
-            "Wigner value has imaginary residue %g" % abs(val.imag)
-        )
-    return float(val.real)
-
-
-def _field_values(rho, grid, window, element_source):
-    ax = grid.axis()
-    re, im = np.meshgrid(ax, ax, indexing="ij")
-    pts = (re + 1j * im).ravel()
-    if element_source == ORACLE:
-        amax = float(np.max(np.abs(pts)))
-        ka = parity_table(pts, window.n1, suggested_cutoff(window.n1 + 1, amax))
-        if window.m1 == window.n1:
-            kb = ka
-        else:
-            kb = parity_table(pts, window.m1, suggested_cutoff(window.m1 + 1, amax))
-    elif element_source == PAPER:
-        rows_a = [window.n1, window.n1 + 1]
-        rows_b = [window.m1, window.m1 + 1]
-        ka = np.array(
-            [[[displaced_parity_paper(p, q, a) for q in rows_a] for p in rows_a]
-             for a in pts]
-        )
-        kb = np.array(
-            [[[displaced_parity_paper(p, q, b) for q in rows_b] for p in rows_b]
-             for b in pts]
-        )
-    else:
-        raise DomainError("element_source must be 'paper' or 'oracle'")
-    rho4 = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    w = (4.0 / math.pi**2) * np.einsum("ijkl,aki,blj->ab", rho4, ka, kb)
-    if np.max(np.abs(w.imag)) > IMAG_TOL:
-        raise ConsistencyError("Wigner field has imaginary residue above tolerance")
-    n = grid.points_per_axis
-    return w.real.reshape(n, n, n, n)
+    ka = _k_tables([alpha], window.n1, element_source)
+    kb = _k_tables([beta], window.m1, element_source)
+    return float(_contract(rho, ka, kb)[0, 0])
 
 
 def wigner_field(rho, grid, window=FockWindow(), element_source=ORACLE):
     """Wigner function evaluated on the full 4-dimensional grid."""
-    return WignerField(grid=grid, values=_field_values(rho, grid, window, element_source))
+    ax = grid.axis()
+    re, im = np.meshgrid(ax, ax, indexing="ij")
+    pts = (re + 1j * im).ravel()
+    ka = _k_tables(pts, window.n1, element_source)
+    kb = _k_tables(pts, window.m1, element_source)
+    n = grid.points_per_axis
+    return WignerField(grid=grid, values=_contract(rho, ka, kb).reshape(n, n, n, n))
 
 
 def _trapezoid_weights(grid):
@@ -285,29 +296,3 @@ def negativity_volume(rho, grid, window=FockWindow(), element_source=ORACLE,
     if fine < -tol:
         raise ConsistencyError("negativity volume is negative beyond tolerance")
     return max(0.0, fine)
-
-
-def field_rows(field):
-    """CSV rows (Re a, Im a, Re b, Im b, W) in fixed axis-major order."""
-    ax = field.grid.axis()
-    rows = []
-    n = field.grid.points_per_axis
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    rows.append(
-                        [ax[i], ax[j], ax[k], ax[l], field.values[i, j, k, l]]
-                    )
-    return rows
-
-
-def slice_rows(field):
-    """2-d slice at Im alpha = Im beta = 0 as (Re a, Re b, W) rows."""
-    ax = field.grid.axis()
-    mid = np.argmin(np.abs(ax))
-    rows = []
-    for i in range(field.grid.points_per_axis):
-        for k in range(field.grid.points_per_axis):
-            rows.append([ax[i], ax[k], field.values[i, mid, k, mid]])
-    return rows

@@ -282,7 +282,7 @@ def test_criterion_9_errata_enforced():
     for m, mp in ((0, 0), (0, 1), (1, 2), (2, 2)):
         oracle = wigner.displaced_parity_oracle(m, mp, alpha)
         printed = wigner.displaced_parity_paper(m, mp, alpha)
-        fixed = errata.displaced_parity_corrected(m, mp, alpha)
+        fixed = wigner.displaced_parity(m, mp, alpha)
         worst_printed = max(worst_printed, abs(printed - oracle))
         worst_fixed = max(worst_fixed, abs(fixed - oracle))
     ok &= worst_printed > 1e-3 and worst_fixed <= 1e-10

@@ -119,6 +119,15 @@ def test_builders_reject_unnormalized_inputs():
         states.build_epr(1.0, 0.5)
     with pytest.raises(DomainError):
         states.build_noon(0.9, 0.9)
+    for bad in (math.nan, math.inf, -math.inf, complex(1.0, math.nan)):
+        with pytest.raises(DomainError):
+            states.build_epr(bad, 0.0)
+        with pytest.raises(DomainError):
+            states.build_epr(1.0, bad)
+        with pytest.raises(DomainError):
+            states.build_noon(bad, 1.0)
+        with pytest.raises(DomainError):
+            states.build_noon(0.0, bad)
 
 
 def test_builder_outputs_are_valid_pure_states():

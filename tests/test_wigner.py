@@ -77,6 +77,44 @@ def test_parity_table_matches_oracle_elements():
                 assert table[g, i, j] == pytest.approx(direct, abs=1e-10)
 
 
+@pytest.mark.parametrize("window", [FockWindow(0, 0), FockWindow(2, 2),
+                                    FockWindow(3, 0)],
+                         ids=lambda w: "n1=%d,m1=%d" % (w.n1, w.m1))
+def test_closed_form_tables_match_parity_table(window):
+    # Full default-extent 64-point grid, corners at |alpha| up to ~10.2.
+    ax = wg.PhaseSpaceGrid(wg.default_extent(window), 64).axis()
+    re, im = np.meshgrid(ax, ax, indexing="ij")
+    pts = (re + 1j * im).ravel()
+    amax = float(np.max(np.abs(pts)))
+    for index in sorted({window.n1, window.m1}):
+        table = wg._k_tables(pts, index, wg.ORACLE)
+        oracle = wg.parity_table(pts, index, wg.suggested_cutoff(index + 1, amax))
+        assert np.max(np.abs(table - oracle)) <= 1e-10
+
+
+@pytest.mark.parametrize("source", [wg.ORACLE, wg.PAPER])
+def test_wigner_joint_matches_field_at_grid_points(source):
+    rng = np.random.default_rng(5)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    window = FockWindow(1, 2)
+    grid = wg.PhaseSpaceGrid(extent=3.0, points_per_axis=8)
+    field = wg.wigner_field(rho, grid, window, source)
+    ax = grid.axis()
+    for i, j, k, l in ((0, 0, 0, 0), (1, 6, 3, 2), (4, 3, 7, 5), (7, 7, 0, 4)):
+        joint = wg.wigner_joint(rho, ax[i] + 1j * ax[j], ax[k] + 1j * ax[l],
+                                window, source)
+        assert joint == pytest.approx(field.values[i, j, k, l], abs=1e-14)
+
+
+def test_unknown_element_source_is_rejected():
+    with pytest.raises(DomainError):
+        wg.wigner_joint(VACUUM, 0.0, 0.0, W0, element_source="eigh")
+    with pytest.raises(DomainError):
+        wg.wigner_field(VACUUM, wg.PhaseSpaceGrid(4.0, 8), W0, element_source="eigh")
+
+
 def test_wigner_origin_parities():
     assert wg.wigner_joint(VACUUM, 0.0, 0.0, W0) == pytest.approx(
         4.0 / math.pi**2, abs=1e-10
@@ -142,13 +180,3 @@ def test_field_is_real_everywhere():
     grid = wg.PhaseSpaceGrid(extent=4.0, points_per_axis=8)
     field = wg.wigner_field(rho, grid, W0)
     assert np.all(np.isfinite(field.values))
-
-
-def test_export_rows():
-    grid = wg.PhaseSpaceGrid(extent=4.0, points_per_axis=8)
-    field = wg.wigner_field(VACUUM, grid, W0)
-    rows = wg.field_rows(field)
-    assert len(rows) == 8**4
-    assert len(rows[0]) == 5
-    srows = wg.slice_rows(field)
-    assert len(srows) == 64
