@@ -48,19 +48,21 @@ def _evolve(scn):
     )
 
 
-def run_evolve(scn, out_dir, name="trajectory"):
-    traj = _evolve(scn)
+def _write_trajectory(scn, traj, out_dir, name):
     path = os.path.join(out_dir, "%s.csv" % name)
     write_csv(path, scn.summary(), dynamics.TRAJECTORY_COLUMNS,
               dynamics.trajectory_rows(traj))
     return [path]
 
 
+def run_evolve(scn, out_dir, name="trajectory"):
+    return _write_trajectory(scn, _evolve(scn), out_dir, name)
+
+
 CORRELATION_COLUMNS = ["t", "negativity", "log_negativity", "concurrence", "discord"]
 
 
-def run_correlations(scn, out_dir, name="correlations"):
-    traj = _evolve(scn)
+def _write_correlations(scn, traj, out_dir, name):
     rows = []
     for t, rho in zip(traj.times, traj.states):
         rep = correlations.correlation_report(rho)
@@ -69,6 +71,10 @@ def run_correlations(scn, out_dir, name="correlations"):
     path = os.path.join(out_dir, "%s.csv" % name)
     write_csv(path, scn.summary(), CORRELATION_COLUMNS, rows)
     return [path]
+
+
+def run_correlations(scn, out_dir, name="correlations"):
+    return _write_correlations(scn, _evolve(scn), out_dir, name)
 
 
 def run_wigner(scn, out_dir, name="wigner"):
@@ -156,8 +162,9 @@ def run_figures(figure_id, out_dir):
     paths = []
     if figure_id == "fig2":
         scn = _scn(state="epr", model="markovian", m1=0, t_max=5, steps=200)
-        paths += run_correlations(scn, out_dir, "fig2a_measures")
-        paths += run_evolve(scn, out_dir, "fig2b_populations")
+        traj = _evolve(scn)
+        paths += _write_correlations(scn, traj, out_dir, "fig2a_measures")
+        paths += _write_trajectory(scn, traj, out_dir, "fig2b_populations")
     elif figure_id == "fig3":
         for label, r in (("a", 1.0), ("b", 0.1), ("c", 5.0)):
             scn = _scn(state="epr", model="ohmic", r=r, m1=0,

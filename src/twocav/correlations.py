@@ -35,8 +35,12 @@ def negativity(rho):
     return float(0.5 * (np.sum(np.abs(vals)) - np.sum(vals)))
 
 
+def _log_negativity_of(neg):
+    return math.log2(1.0 + 2.0 * neg)
+
+
 def log_negativity(rho):
-    return math.log2(1.0 + 2.0 * negativity(rho))
+    return _log_negativity_of(negativity(rho))
 
 
 def concurrence(rho):
@@ -221,9 +225,10 @@ def correlation_report(rho, discord_variant=DISCORD_CORRECTED):
         d = discord_x(rho, variant=discord_variant)
     except DomainError:
         d = discord_bruteforce(rho)
+    neg = negativity(rho)
     return CorrelationReport(
-        negativity=negativity(rho),
-        log_negativity=log_negativity(rho),
+        negativity=neg,
+        log_negativity=_log_negativity_of(neg),
         concurrence=concurrence(rho),
         discord=d,
     )

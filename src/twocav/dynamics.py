@@ -30,7 +30,7 @@ class Markovian:
     gamma_m: float = 1.0
 
     def __post_init__(self):
-        if self.gamma_m <= 0:
+        if not self.gamma_m > 0:
             raise DomainError("gamma_m must be positive")
 
 
@@ -45,7 +45,7 @@ class NonMarkovianOhmic:
     r: float = 1.0
 
     def __post_init__(self):
-        if self.omega0 <= 0 or self.r <= 0:
+        if not (self.omega0 > 0 and self.r > 0):
             raise DomainError("omega0 and r must be positive")
 
 
@@ -56,7 +56,7 @@ class KernelIntegral:
     omega_c: float = 1.0
 
     def __post_init__(self):
-        if self.omega_c <= 0:
+        if not self.omega_c > 0:
             raise DomainError("omega_c must be positive")
 
 
@@ -68,7 +68,7 @@ class EvolutionParams:
     rho13_strict: bool = False
 
     def __post_init__(self):
-        if self.nbar < 0:
+        if not self.nbar >= 0:
             raise DomainError("nbar must be non-negative")
         if self.closure_mode not in (LEAKY, PAPER_CLOSURE):
             raise DomainError("closure_mode must be 'leaky' or 'paper'")
@@ -86,9 +86,9 @@ def gamma_nonmarkov(t, r):
     Evaluated exactly as printed, growing exponentials included; arguments
     with r*t > 700 raise instead of overflowing.
     """
-    if t < 0:
+    if not t >= 0:
         raise DomainError("time must be non-negative")
-    if r <= 0:
+    if not r > 0:
         raise DomainError("cutoff ratio r must be positive")
     if r * t > OVERFLOW_EXPONENT:
         raise OverflowGuardError(
@@ -106,9 +106,9 @@ def gamma_nonmarkov(t, r):
 
 def gamma_nonmarkov_rate(t, r):
     """Term-by-term derivative of gamma_nonmarkov with respect to t."""
-    if t < 0:
+    if not t >= 0:
         raise DomainError("time must be non-negative")
-    if r <= 0:
+    if not r > 0:
         raise DomainError("cutoff ratio r must be positive")
     if r * t > OVERFLOW_EXPONENT:
         raise OverflowGuardError(
@@ -127,9 +127,9 @@ def gamma_nonmarkov_rate(t, r):
 
 def gamma_kernel(t, omega_c):
     """Kernel-integrated rate 2 wc (1 - exp(-wc t))."""
-    if t < 0:
+    if not t >= 0:
         raise DomainError("time must be non-negative")
-    if omega_c <= 0:
+    if not omega_c > 0:
         raise DomainError("omega_c must be positive")
     return 2.0 * omega_c * (-math.expm1(-omega_c * t))
 
@@ -158,7 +158,7 @@ def gamma_kernel_quadrature(t, omega_c):
 
 def instantaneous_rate(model, t):
     """Rate theta(t) entering the equations of motion."""
-    if t < 0:
+    if not t >= 0:
         raise DomainError("time must be non-negative")
     if isinstance(model, Markovian):
         return model.gamma_m
@@ -171,7 +171,7 @@ def instantaneous_rate(model, t):
 
 def accumulated_theta(model, t):
     """Accumulated decoherence Theta(t); d(Theta)/dt = instantaneous_rate."""
-    if t < 0:
+    if not t >= 0:
         raise DomainError("time must be non-negative")
     if isinstance(model, Markovian):
         return model.gamma_m * t

@@ -3,8 +3,11 @@
 The channel map weights Pauli corrections by products of Bell-projector
 overlaps with the channel state.  Two index orderings of the right-hand
 Pauli factor are implemented; 'printed' is the default, chosen because it
-reproduces the closed-form output blocks exactly.  Closed-form fast paths
-cover the two X-structured channel families.
+reproduces the closed-form output blocks exactly.  The Pauli products are
+module constants and each input state builds its 16 correction terms per
+ordering once, so only the Bell weights change from one channel state to
+the next.  Closed-form fast paths cover the two X-structured channel
+families.
 """
 
 import math
@@ -37,6 +40,17 @@ BELL_PROJECTORS = (
     _bell([0.0, 1.0, 1.0, 0.0]),    # E^z = |psi+>
 )
 
+# sigma_a x sigma_b at index 4a + b.
+_KRON = tuple(np.kron(_PAULI[a], _PAULI[b]) for a in range(4) for b in range(4))
+# (left, right) Pauli products for each index order, in (a, b) row-major
+# order: left = sigma_a x sigma_b, right = sigma_b x sigma_a ('printed') or
+# left ('symmetric').
+_PAULI_PAIRS = {
+    PRINTED: tuple((_KRON[4 * a + b], _KRON[4 * b + a])
+                   for a in range(4) for b in range(4)),
+    SYMMETRIC: tuple((k, k) for k in _KRON),
+}
+
 
 @dataclass
 class InputState:
@@ -44,11 +58,13 @@ class InputState:
     q: float
     matrix: np.ndarray = field(init=False)
     non_physical: bool = field(init=False)
+    # Index order -> the 16 terms left @ matrix @ right, (a, b) row-major.
+    corrections: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise DomainError("p must lie in [0, 1]")
-        if self.q <= 0.0:
+        if not self.q > 0.0:
             raise DomainError("q must be positive")
         m = np.zeros((4, 4), dtype=complex)
         m[0, 0] = (1.0 - 2.0 * self.p) / 2.0
@@ -56,6 +72,10 @@ class InputState:
         m[0, 3] = m[3, 0] = self.q / 2.0
         self.matrix = m
         self.non_physical = bool(np.linalg.eigvalsh(m)[0] < -1e-12)
+        self.corrections = {
+            order: tuple(left @ m @ right for left, right in pairs)
+            for order, pairs in _PAULI_PAIRS.items()
+        }
 
 
 def input_state(p, q):
@@ -89,11 +109,8 @@ def teleport_general(channel, inp, index_order=PRINTED):
     probs = np.outer(w, w)
     rho_in = inp.matrix
     out = np.zeros((4, 4), dtype=complex)
-    for a in range(4):
-        for b in range(4):
-            left = np.kron(_PAULI[a], _PAULI[b])
-            right = np.kron(_PAULI[b], _PAULI[a]) if index_order == PRINTED else left
-            out += probs[a, b] * (left @ rho_in @ right)
+    for weight, term in zip(probs.flat, inp.corrections[index_order]):
+        out += weight * term
     fid = float(np.real(np.trace(rho_in @ out)))
     return TeleportResult(
         rho_out=out,
@@ -175,6 +192,6 @@ def teleported_measures(result, discord_variant=correlations.DISCORD_CORRECTED):
     """Correlation measures of the (renormalized) teleported state."""
     rho = np.asarray(result.rho_out, dtype=complex)
     tr = float(np.real(np.trace(rho)))
-    if tr <= 0.0:
+    if not tr > 0.0:
         raise DomainError("teleported state has non-positive trace")
     return correlations.correlation_report(rho / tr, discord_variant=discord_variant)

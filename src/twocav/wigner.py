@@ -37,7 +37,7 @@ class PhaseSpaceGrid:
     points_per_axis: int = 32
 
     def __post_init__(self):
-        if self.extent <= 0:
+        if not self.extent > 0:
             raise DomainError("grid extent must be positive")
         if self.points_per_axis < 8 or self.points_per_axis % 2:
             raise DomainError("points_per_axis must be even and >= 8")

@@ -54,12 +54,18 @@ def test_separable_states_have_zero_measures():
 
 def test_log_negativity_identity_random_states():
     rng = np.random.default_rng(5)
-    for _ in range(100):
+    for i in range(100):
         rho = random_state(rng)
         n = co.negativity(rho)
         assert co.log_negativity(rho) == pytest.approx(
             math.log2(1.0 + 2.0 * n), abs=1e-10
         )
+        # The report's discord falls back to brute force on these non-X
+        # states, so check every tenth one to keep the suite fast.
+        if i % 10 == 0:
+            rep = co.correlation_report(rho)
+            assert rep.log_negativity == co.log_negativity(rho)
+            assert rep.negativity == n
 
 
 def test_x_state_concurrence_closed_forms():

@@ -28,6 +28,21 @@ def test_model_validation():
         dynamics.EvolutionParams(nbar=-0.1)
     with pytest.raises(DomainError):
         dynamics.EvolutionParams(closure_mode="bogus")
+    nan = float("nan")
+    for build in (
+        lambda: dynamics.Markovian(nan),
+        lambda: dynamics.NonMarkovianOhmic(nan, 1.0),
+        lambda: dynamics.NonMarkovianOhmic(1.0, nan),
+        lambda: dynamics.KernelIntegral(nan),
+        lambda: dynamics.EvolutionParams(nbar=nan),
+        lambda: dynamics.gamma_nonmarkov(nan, 1.0),
+        lambda: dynamics.gamma_nonmarkov_rate(0.5, nan),
+        lambda: dynamics.gamma_kernel(0.5, nan),
+        lambda: dynamics.instantaneous_rate(dynamics.Markovian(), nan),
+        lambda: dynamics.accumulated_theta(dynamics.Markovian(), nan),
+    ):
+        with pytest.raises(DomainError):
+            build()
 
 
 def test_ohmic_rate_matches_numerical_derivative():

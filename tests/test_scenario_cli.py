@@ -178,6 +178,21 @@ def test_cli_fig3_bundle(tmp_path):
         assert (tmp_path / p.split("/")[-1]).exists()
 
 
+def test_cli_fig2_panels_share_one_trajectory(tmp_path, monkeypatch):
+    calls = []
+    evolve = cli.dynamics.evolve
+
+    def counting_evolve(*args):
+        calls.append(args)
+        return evolve(*args)
+
+    monkeypatch.setattr(cli.dynamics, "evolve", counting_evolve)
+    paths = cli.run_figures("fig2", str(tmp_path))
+    assert [p.split("/")[-1] for p in paths] == [
+        "fig2a_measures.csv", "fig2b_populations.csv"]
+    assert len(calls) == 1
+
+
 def test_cli_mode_flags_override_scenario(tmp_path):
     path = _write(tmp_path, BASE)
     code = cli.main(["teleport", "--scenario", path, "--out", str(tmp_path),

@@ -28,6 +28,10 @@ def test_input_state_domain_errors():
         tp.input_state(-0.1, 1.0)
     with pytest.raises(DomainError):
         tp.input_state(0.5, 0.0)
+    with pytest.raises(DomainError):
+        tp.input_state(0.5, float("nan"))
+    with pytest.raises(DomainError):
+        tp.input_state(float("nan"), 1.0)
 
 
 def test_bell_projectors_are_complete_and_orthogonal():
@@ -154,6 +158,14 @@ def test_teleported_measures_on_depolarized_channel():
     assert rep.log_negativity == pytest.approx(0.0, abs=1e-10)
 
 
+def test_teleported_measures_reject_degenerate_outputs():
+    inp = tp.input_state(0.0, 1.0)
+    for channel in (np.zeros((4, 4)), np.full((4, 4), np.nan)):
+        res = tp.teleport_general(channel, inp)
+        with pytest.raises(DomainError):
+            tp.teleported_measures(res)
+
+
 def test_closed_form_measures_consistency():
     rho0 = states.build_epr(INV_SQRT2, INV_SQRT2)
     channel = dynamics.evolve_analytic_vacuum(rho0, 0.3, 0)
@@ -167,3 +179,37 @@ def test_index_order_validation():
     with pytest.raises(DomainError):
         tp.teleport_general(np.eye(4) / 4.0, tp.input_state(0.0, 1.0),
                             index_order="sideways")
+
+
+def _teleport_reference(channel, inp, index_order):
+    """Per-call Kronecker-product loop: the map before its input-only
+    terms were precomputed, in the same (a, b) summation order."""
+    w = tp.bell_weights(channel)
+    probs = np.outer(w, w)
+    out = np.zeros((4, 4), dtype=complex)
+    for a in range(4):
+        for b in range(4):
+            left = np.kron(tp._PAULI[a], tp._PAULI[b])
+            right = (np.kron(tp._PAULI[b], tp._PAULI[a])
+                     if index_order == tp.PRINTED else left)
+            out += probs[a, b] * (left @ inp.matrix @ right)
+    return out, float(np.real(np.trace(inp.matrix @ out)))
+
+
+def test_precomputed_terms_match_kron_reference_exactly():
+    rng = np.random.default_rng(17)
+    channels = []
+    for _ in range(10):
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = g @ g.conj().T
+        channels.append(rho / np.trace(rho).real)
+    channels.append(states.build_epr(0.6, 0.8))
+    channels.append(np.eye(4) / 4.0)
+    for p, q in ((0.0, 1.0), (0.3, 0.4), (0.99, 0.97), (0.99, 0.99)):
+        inp = tp.input_state(p, q)
+        for order in (tp.PRINTED, tp.SYMMETRIC):
+            for channel in channels:
+                res = tp.teleport_general(channel, inp, index_order=order)
+                out, fid = _teleport_reference(channel, inp, order)
+                assert np.array_equal(res.rho_out, out)
+                assert res.fidelity == fid

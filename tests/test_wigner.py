@@ -19,6 +19,8 @@ def test_grid_validation():
         wg.PhaseSpaceGrid(points_per_axis=6)
     with pytest.raises(DomainError):
         wg.PhaseSpaceGrid(points_per_axis=9)
+    with pytest.raises(DomainError):
+        wg.PhaseSpaceGrid(extent=float("nan"))
 
 
 def test_laguerre_values():
