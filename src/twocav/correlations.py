@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import DomainError
 
@@ -202,6 +201,8 @@ def discord_bruteforce(rho, grid=64):
 
     def objective(x):
         return _conditional_entropy_grid(rho, np.array([x[0]]), np.array([x[1]]))[0]
+
+    from scipy import optimize  # deferred: only brute-force discord needs it
 
     res = optimize.minimize(
         objective, [t0, p0], method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-12}

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, linalg
+from scipy import linalg
 
 from .errors import DomainError, IntegrationError, OverflowGuardError
 from .states import FockWindow
@@ -140,6 +140,7 @@ def gamma_kernel_quadrature(t, omega_c):
     Integrates the Ohmic spectral density against sin(w s) over w (Fourier
     quadrature on the infinite interval), then over s on [0, t].
     """
+    from scipy import integrate  # deferred: only this oracle needs it
 
     def inner(s):
         val, _ = integrate.quad(

@@ -52,7 +52,7 @@ _PAULI_PAIRS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class InputState:
     p: float
     q: float
@@ -70,12 +70,14 @@ class InputState:
         m[0, 0] = (1.0 - 2.0 * self.p) / 2.0
         m[3, 3] = (1.0 + 2.0 * self.p) / 2.0
         m[0, 3] = m[3, 0] = self.q / 2.0
-        self.matrix = m
-        self.non_physical = bool(np.linalg.eigvalsh(m)[0] < -1e-12)
-        self.corrections = {
+        # Frozen, so the derived fields cannot go stale after a change of p or q.
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "non_physical",
+                           bool(np.linalg.eigvalsh(m)[0] < -1e-12))
+        object.__setattr__(self, "corrections", {
             order: tuple(left @ m @ right for left, right in pairs)
             for order, pairs in _PAULI_PAIRS.items()
-        }
+        })
 
 
 def input_state(p, q):

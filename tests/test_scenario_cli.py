@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import twocav
 from twocav import cli, scenario as sc
 from twocav.errors import ScenarioError
 
@@ -211,3 +215,18 @@ def test_cli_mode_flags_override_scenario(tmp_path):
     assert "elements=paper" in header
     assert "closure=leaky" not in header
     assert "index_order=printed" not in header
+
+
+def test_cli_import_defers_scipy_optimize():
+    # Only brute-force discord needs scipy.optimize; importing the CLI
+    # must not pay for it.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(twocav.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, twocav.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

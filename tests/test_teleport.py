@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -32,6 +33,16 @@ def test_input_state_domain_errors():
         tp.input_state(0.5, float("nan"))
     with pytest.raises(DomainError):
         tp.input_state(float("nan"), 1.0)
+
+
+def test_input_state_is_frozen():
+    # The matrix and corrections are derived once, so p and q cannot change.
+    inp = tp.input_state(0.1, 0.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inp.q = 0.9
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inp.p = float("nan")
+    assert inp.matrix[0, 3] == 0.25
 
 
 def test_bell_projectors_are_complete_and_orthogonal():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,3 +183,49 @@ def test_field_is_real_everywhere():
     grid = wg.PhaseSpaceGrid(extent=4.0, points_per_axis=8)
     field = wg.wigner_field(rho, grid, W0)
     assert np.all(np.isfinite(field.values))
+
+
+def _random_state(seed):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def _unstreamed_volume(rho, n_pts, extent, window):
+    # Whole field, then |W|, then the 4-axis quadrature.
+    grid = wg.PhaseSpaceGrid(extent=extent, points_per_axis=n_pts)
+    field = wg.wigner_field(rho, grid, window)
+    abs_field = wg.WignerField(grid=grid, values=np.abs(field.values))
+    return 0.5 * (wg.integrate_field(abs_field) - 1.0)
+
+
+@pytest.mark.parametrize("points", [8, 10, 14, 16, 22, 32, 64])
+@pytest.mark.parametrize("window", [FockWindow(0, 0), FockWindow(0, 2),
+                                    FockWindow(1, 1), FockWindow(2, 1)],
+                         ids=lambda w: "n1=%d,m1=%d" % (w.n1, w.m1))
+def test_streamed_volume_equals_unstreamed_exactly(window, points):
+    # Streaming over Im beta blocks must keep the summation order bit for
+    # bit; ragged last blocks (10, 14, 22 points) included.
+    extent = wg.default_extent(window)
+    grid = wg.PhaseSpaceGrid(extent=extent, points_per_axis=points)
+    half = points // 2 + (points // 2) % 2
+    for seed in range(3 if points < 64 else 1):
+        rho = _random_state(1000 * points + 10 * window.n1 + window.m1 + seed)
+        fine, coarse = wg.volume_pair(rho, grid, window)
+        assert fine == _unstreamed_volume(rho, points, extent, window)
+        assert coarse == _unstreamed_volume(rho, max(8, half), extent, window)
+
+
+def test_streamed_volume_peak_allocation():
+    # The unstreamed 64-point field alone is 268 MB; that path peaks near 400 MB.
+    window = FockWindow(0, 2)
+    grid = wg.PhaseSpaceGrid(wg.default_extent(window), 64)
+    rho = _random_state(7)
+    tracemalloc.start()
+    try:
+        wg.volume_pair(rho, grid, window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80e6
