@@ -1,7 +1,14 @@
 """Scenario-driven command line emitting deterministic CSV series.
 
 Subcommands: evolve, correlations, wigner, volume, teleport, figures.
-Exit codes: 0 success, 2 configuration problem, 3 integration failure,
+Each scenario subcommand names a table builder in `TABLES` that turns a
+scenario and its evolved trajectory into CSV columns and rows.
+`run_scenario` evolves a scenario once and writes every requested table;
+`figures` runs the preset bundles of `FIGURES` through it.  The volume
+table holds the one convergence gate of the negativity volume,
+`VOLUME_GATE`.
+Exit codes: 0 success, 2 configuration problem (including an output
+directory that cannot be created or written), 3 integration failure,
 4 quadrature non-convergence.
 """
 
@@ -42,59 +49,35 @@ def write_csv(path, comment, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _evolve(scn):
-    return dynamics.evolve(
-        scn.initial_state(), scn.params(), scn.model, scn.time_grid()
-    )
-
-
-def _write_trajectory(scn, traj, out_dir, name):
-    path = os.path.join(out_dir, "%s.csv" % name)
-    write_csv(path, scn.summary(), dynamics.TRAJECTORY_COLUMNS,
-              dynamics.trajectory_rows(traj))
-    return [path]
-
-
-def run_evolve(scn, out_dir, name="trajectory"):
-    return _write_trajectory(scn, _evolve(scn), out_dir, name)
+def _trajectory_table(scn, traj):
+    return dynamics.TRAJECTORY_COLUMNS, dynamics.trajectory_rows(traj)
 
 
 CORRELATION_COLUMNS = ["t", "negativity", "log_negativity", "concurrence", "discord"]
 
 
-def _write_correlations(scn, traj, out_dir, name):
+def _correlations_table(scn, traj):
     rows = []
     for t, rho in zip(traj.times, traj.states):
         rep = correlations.correlation_report(rho)
         rows.append([t, rep.negativity, rep.log_negativity, rep.concurrence,
                      rep.discord])
-    path = os.path.join(out_dir, "%s.csv" % name)
-    write_csv(path, scn.summary(), CORRELATION_COLUMNS, rows)
-    return [path]
+    return CORRELATION_COLUMNS, rows
 
 
-def run_correlations(scn, out_dir, name="correlations"):
-    return _write_correlations(scn, _evolve(scn), out_dir, name)
-
-
-def run_wigner(scn, out_dir, name="wigner"):
-    traj = _evolve(scn)
+def _wigner_table(scn, traj):
     rows = []
     for t, rho in zip(traj.times, traj.states):
         w0 = wigner.wigner_joint(rho, 0.0, 0.0, scn.window,
                                  element_source=scn.elements)
         rows.append([t, w0])
-    path = os.path.join(out_dir, "%s.csv" % name)
-    # The sampled point is the phase-space origin.
-    write_csv(path, scn.summary() + " point=origin", ["t", "w_origin"], rows)
-    return [path]
+    return ["t", "w_origin"], rows
 
 
 VOLUME_GATE = 0.05  # largest tolerated drift between the two resolutions
 
 
-def run_volume(scn, out_dir, name="volume"):
-    traj = _evolve(scn)
+def _volume_table(scn, traj):
     extent = scn.extent if scn.extent is not None else wigner.default_extent(scn.window)
     grid = wigner.PhaseSpaceGrid(extent=extent, points_per_axis=scn.points)
     rows = []
@@ -109,9 +92,7 @@ def run_volume(scn, out_dir, name="volume"):
                 coarse=v_half,
             )
         rows.append([t, v, v_half])
-    path = os.path.join(out_dir, "%s.csv" % name)
-    write_csv(path, scn.summary(), ["t", "volume", "volume_half"], rows)
-    return [path]
+    return ["t", "volume", "volume_half"], rows
 
 
 TELEPORT_COLUMNS = [
@@ -120,10 +101,7 @@ TELEPORT_COLUMNS = [
 ]
 
 
-def run_teleport(scn, out_dir, name="teleport"):
-    if scn.state == "coherent":
-        raise ScenarioError("teleport runs need an epr or noon channel family")
-    traj = _evolve(scn)
+def _teleport_table(scn, traj):
     inp = teleport.input_state(scn.p, scn.q)
     closed = teleport.closed_form_epr if scn.state == "epr" else teleport.closed_form_noon
     rows = []
@@ -136,9 +114,36 @@ def run_teleport(scn, out_dir, name="teleport"):
             rep.concurrence, rep.log_negativity, rep.discord,
             c1, c2, c3, res.fidelity > 2.0 / 3.0, res.non_physical_input,
         ])
-    path = os.path.join(out_dir, "%s.csv" % name)
-    write_csv(path, scn.summary(), TELEPORT_COLUMNS, rows)
-    return [path]
+    return TELEPORT_COLUMNS, rows
+
+
+# Subcommand -> (table builder, default CSV name, note appended to the
+# scenario summary in the comment line).
+TABLES = {
+    "evolve": (_trajectory_table, "trajectory", ""),
+    "correlations": (_correlations_table, "correlations", ""),
+    # The sampled point is the phase-space origin.
+    "wigner": (_wigner_table, "wigner", " point=origin"),
+    "volume": (_volume_table, "volume", ""),
+    "teleport": (_teleport_table, "teleport", ""),
+}
+
+
+def run_scenario(scn, outputs, out_dir):
+    """Evolve scn once and write one CSV per (command, name) of outputs."""
+    if scn.state == "coherent" and any(cmd == "teleport" for cmd, _ in outputs):
+        raise ScenarioError("teleport runs need an epr or noon channel family")
+    traj = dynamics.evolve(
+        scn.initial_state(), scn.params(), scn.model, scn.time_grid()
+    )
+    paths = []
+    for command, name in outputs:
+        build, _, note = TABLES[command]
+        header, rows = build(scn, traj)
+        path = os.path.join(out_dir, "%s.csv" % name)
+        write_csv(path, scn.summary() + note, header, rows)
+        paths.append(path)
+    return paths
 
 
 def _scn(**kv):
@@ -147,8 +152,6 @@ def _scn(**kv):
     return scenario_mod.parse_scenario("\n".join(lines))
 
 
-FIGURE_IDS = ["fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9"]
-
 # The memory-kernel rate changes sign at a finite horizon (about
 # omega_0 t = 1.04 for r = 1, 5.7 for r = 0.1, 1.75 for r = 5); past it
 # the window re-amplifies and eventually overflows, so the presets stop
@@ -156,64 +159,62 @@ FIGURE_IDS = ["fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9"]
 _OHMIC_TMAX = {1.0: 1.0, 0.1: 3.0, 5.0: 1.5}
 
 
+def _markovian(state, **kv):
+    keys = dict(state=state, model="markovian", m1=0, t_max=5, steps=200)
+    keys.update(kv)
+    return keys
+
+
+def _ohmic(state, r, **kv):
+    return dict(state=state, model="ohmic", r=r, m1=0, t_max=_OHMIC_TMAX[r],
+                steps=200, **kv)
+
+
+_RATES = (("a", 1.0), ("b", 0.1), ("c", 5.0))
+
+# Figure id -> [(scenario keys, [(command, CSV name), ...]), ...].  The
+# key values are printed into every CSV header, so they are kept verbatim.
+FIGURES = {
+    "fig2": [(_markovian("epr"), [("correlations", "fig2a_measures"),
+                                  ("evolve", "fig2b_populations")])],
+    "fig3": [(_ohmic("epr", r), [("correlations", "fig3%s_measures" % label)])
+             for label, r in _RATES],
+    "fig4": [
+        (_markovian("noon"), [("correlations", "fig4a_measures")]),
+        (_markovian("noon", m1=1), [("correlations", "fig4b_measures")]),
+        (_ohmic("noon", 1.0), [("correlations", "fig4c_measures")]),
+        (_ohmic("noon", 0.1), [("correlations", "fig4d_measures")]),
+    ],
+    # The m1 = 2 panel uses the trace-closing mode and a finer grid; its
+    # leaky counterpart drains the window and the volume integral loses
+    # meaning.
+    "fig5": [(_markovian("epr", m1=m1, t_max=0.68, steps=8, points=points,
+                         closure=closure),
+              [("wigner", "fig5%s_wigner" % label),
+               ("volume", "fig5%s_volume" % label)])
+             for label, m1, closure, points in (("a", 0, "leaky", 32),
+                                                ("b", 2, "paper", 64))],
+    "fig6": [(_markovian("epr", p=0.99, q=0.97), [("teleport", "fig6_teleport")])],
+    "fig7": [(_ohmic("epr", r, p=0.99, q=0.97),
+              [("teleport", "fig7%s_teleport" % label)]) for label, r in _RATES],
+    "fig8": [
+        (_markovian("noon", p=0.99, q=0.97), [("teleport", "fig8a_teleport")]),
+        (_markovian("noon", m1=1, p=0.99, q=0.99), [("teleport", "fig8b_teleport")]),
+    ],
+    "fig9": [(_ohmic("noon", r, p=0.99, q=0.99),
+              [("teleport", "fig9%s_teleport" % label)]) for label, r in _RATES],
+}
+FIGURE_IDS = list(FIGURES)
+
+
 def run_figures(figure_id, out_dir):
     """Preset scenario bundles; one CSV per panel."""
+    if figure_id not in FIGURES:
+        raise ScenarioError("unknown figure id %r" % figure_id)
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    if figure_id == "fig2":
-        scn = _scn(state="epr", model="markovian", m1=0, t_max=5, steps=200)
-        traj = _evolve(scn)
-        paths += _write_correlations(scn, traj, out_dir, "fig2a_measures")
-        paths += _write_trajectory(scn, traj, out_dir, "fig2b_populations")
-    elif figure_id == "fig3":
-        for label, r in (("a", 1.0), ("b", 0.1), ("c", 5.0)):
-            scn = _scn(state="epr", model="ohmic", r=r, m1=0,
-                       t_max=_OHMIC_TMAX[r], steps=200)
-            paths += run_correlations(scn, out_dir, "fig3%s_measures" % label)
-    elif figure_id == "fig4":
-        scn = _scn(state="noon", model="markovian", m1=0, t_max=5, steps=200)
-        paths += run_correlations(scn, out_dir, "fig4a_measures")
-        scn = _scn(state="noon", model="markovian", m1=1, t_max=5, steps=200)
-        paths += run_correlations(scn, out_dir, "fig4b_measures")
-        scn = _scn(state="noon", model="ohmic", r=1.0, m1=0,
-                   t_max=_OHMIC_TMAX[1.0], steps=200)
-        paths += run_correlations(scn, out_dir, "fig4c_measures")
-        scn = _scn(state="noon", model="ohmic", r=0.1, m1=0,
-                   t_max=_OHMIC_TMAX[0.1], steps=200)
-        paths += run_correlations(scn, out_dir, "fig4d_measures")
-    elif figure_id == "fig5":
-        # The m1 = 2 panel uses the trace-closing mode and a finer grid;
-        # its leaky counterpart drains the window and the volume integral
-        # loses meaning.
-        for label, m1, closure, points in (("a", 0, "leaky", 32),
-                                           ("b", 2, "paper", 64)):
-            scn = _scn(state="epr", model="markovian", m1=m1, t_max=0.68,
-                       steps=8, points=points, closure=closure)
-            paths += run_wigner(scn, out_dir, "fig5%s_wigner" % label)
-            paths += run_volume(scn, out_dir, "fig5%s_volume" % label)
-    elif figure_id == "fig6":
-        scn = _scn(state="epr", model="markovian", m1=0, t_max=5, steps=200,
-                   p=0.99, q=0.97)
-        paths += run_teleport(scn, out_dir, "fig6_teleport")
-    elif figure_id == "fig7":
-        for label, r in (("a", 1.0), ("b", 0.1), ("c", 5.0)):
-            scn = _scn(state="epr", model="ohmic", r=r, m1=0,
-                       t_max=_OHMIC_TMAX[r], steps=200, p=0.99, q=0.97)
-            paths += run_teleport(scn, out_dir, "fig7%s_teleport" % label)
-    elif figure_id == "fig8":
-        scn = _scn(state="noon", model="markovian", m1=0, t_max=5, steps=200,
-                   p=0.99, q=0.97)
-        paths += run_teleport(scn, out_dir, "fig8a_teleport")
-        scn = _scn(state="noon", model="markovian", m1=1, t_max=5, steps=200,
-                   p=0.99, q=0.99)
-        paths += run_teleport(scn, out_dir, "fig8b_teleport")
-    elif figure_id == "fig9":
-        for label, r in (("a", 1.0), ("b", 0.1), ("c", 5.0)):
-            scn = _scn(state="noon", model="ohmic", r=r, m1=0,
-                       t_max=_OHMIC_TMAX[r], steps=200, p=0.99, q=0.99)
-            paths += run_teleport(scn, out_dir, "fig9%s_teleport" % label)
-    else:
-        raise ScenarioError("unknown figure id %r" % figure_id)
+    for keys, outputs in FIGURES[figure_id]:
+        paths += run_scenario(_scn(**keys), outputs, out_dir)
     return paths
 
 
@@ -224,7 +225,7 @@ def build_parser():
                     "measures, Wigner functions and teleportation pipelines.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("evolve", "correlations", "wigner", "volume", "teleport"):
+    for name in TABLES:
         p = sub.add_parser(name)
         p.add_argument("--scenario", required=True)
         p.add_argument("--out", default=".")
@@ -235,15 +236,6 @@ def build_parser():
     p.add_argument("figure", choices=FIGURE_IDS)
     p.add_argument("--out", default=".")
     return parser
-
-
-_RUNNERS = {
-    "evolve": run_evolve,
-    "correlations": run_correlations,
-    "wigner": run_wigner,
-    "volume": run_volume,
-    "teleport": run_teleport,
-}
 
 
 def main(argv=None):
@@ -265,8 +257,10 @@ def main(argv=None):
                 scn.elements = args.elements
             if args.index_order:
                 scn.index_order = args.index_order
-            paths = _RUNNERS[args.command](scn, args.out)
-    except (ScenarioError, DomainError) as exc:
+            paths = run_scenario(scn, [(args.command, TABLES[args.command][1])],
+                                 args.out)
+    except (ScenarioError, DomainError, OSError) as exc:
+        # OSError: the output directory cannot be created or written to.
         print("configuration error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     except (IntegrationError, OverflowGuardError) as exc:

@@ -3,7 +3,10 @@
 The 4x4 window density matrix is treated as a pair of effective qubits with
 ordering |00>, |01>, |10>, |11>.  X-structured states get closed-form
 concurrence and discord; a brute-force discord minimization over projective
-measurements on the second subsystem serves as the oracle.
+measurements on the second subsystem serves as the oracle and as the
+fallback of `correlation_report` for states that are not X-structured.
+Each measure has one production implementation; the printed discord
+candidate lives in `errata`.
 """
 
 import math
@@ -15,9 +18,6 @@ from .errors import DomainError
 
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SPIN_FLIP = np.kron(_SY, _SY)
-
-DISCORD_PRINTED = "printed"
-DISCORD_CORRECTED = "corrected"
 
 
 def partial_transpose_b(rho):
@@ -102,13 +102,13 @@ def _check_x_state(rho, tol=1e-9):
         raise DomainError("state is not X-structured")
 
 
-def discord_x(rho, variant=DISCORD_CORRECTED):
+def discord_x(rho):
     """Closed-form quantum discord of a two-qubit X state.
 
     The conditional entropy branch uses the larger of two candidate
-    classical-correlation values; the 'printed' variant reproduces a known
-    typo in the second candidate (missing entropy weights) and is kept for
-    the errata demonstrations.
+    classical-correlation values.  The second candidate as printed misses
+    its entropy weights; `errata.discord_second_branch_printed` exhibits
+    that typo.
     """
     _check_x_state(rho)
     p = np.real(np.diag(rho))
@@ -138,16 +138,11 @@ def discord_x(rho, variant=DISCORD_CORRECTED):
         )
     )
     d1 = _h2(s)
-    if variant == DISCORD_PRINTED:
-        d2 = -float(np.sum(p)) - _h2(p[0] + p[2])
-    elif variant == DISCORD_CORRECTED:
-        d2 = 0.0
-        for v in p:
-            if v > 1e-15:
-                d2 -= v * math.log2(v)
-        d2 -= _h2(p[0] + p[2])
-    else:
-        raise DomainError("unknown discord variant %r" % (variant,))
+    d2 = 0.0
+    for v in p:
+        if v > 1e-15:
+            d2 -= v * math.log2(v)
+    d2 -= _h2(p[0] + p[2])
     d_min = min(d1, d2)
 
     return s_b - s_ab + d_min
@@ -219,11 +214,11 @@ class CorrelationReport:
     discord: float
 
 
-def correlation_report(rho, discord_variant=DISCORD_CORRECTED):
+def correlation_report(rho):
     """All measures of a window state; discord falls back to brute force
     when the state is not X-structured."""
     try:
-        d = discord_x(rho, variant=discord_variant)
+        d = discord_x(rho)
     except DomainError:
         d = discord_bruteforce(rho)
     neg = negativity(rho)

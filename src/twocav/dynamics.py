@@ -285,8 +285,11 @@ def generator_matrix(params):
 
 
 def _time_grid(times):
-    """Validated output grid: finite, starting at 0, strictly increasing."""
+    """Validated output grid: a non-empty 1-D array, finite, starting at 0,
+    strictly increasing."""
     times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise DomainError("time grid must be a non-empty 1-D sequence")
     if not np.all(np.isfinite(times)):
         raise DomainError("time grid must be finite")
     if times[0] != 0.0:

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar, k as k_B
 
 from .errors import DegenerateStateError, DomainError
 
@@ -53,18 +52,6 @@ class StateValidationReport:
     min_eigenvalue: float
     trace: float
     is_physical: bool
-
-
-def thermal_occupation(temperature, frequency):
-    """Bose occupation 1/(exp(hbar*nu/(kB*T)) - 1); exactly 0 at T = 0."""
-    if temperature < 0:
-        raise DomainError("temperature must be non-negative")
-    if frequency <= 0:
-        raise DomainError("frequency must be positive")
-    if temperature == 0:
-        return 0.0
-    x = hbar * frequency / (k_B * temperature)
-    return 1.0 / math.expm1(x)
 
 
 def _normalize(raw):
@@ -179,27 +166,3 @@ def validate(rho, tol=1e-10):
     physical = defect <= tol and min_eig >= -tol and abs(trace - 1.0) <= tol
     return StateValidationReport(defect, min_eig, trace, physical)
 
-
-def _format_complex(z):
-    return "%.17g%+.17gj" % (z.real, z.imag)
-
-
-def matrix_to_text(rho):
-    """Serialize a 4x4 matrix to 4 lines of 4 're+imj' entries."""
-    rho = np.asarray(rho, dtype=complex)
-    return "\n".join(
-        " ".join(_format_complex(z) for z in row) for row in rho
-    ) + "\n"
-
-
-def matrix_from_text(text):
-    """Parse the plain-text matrix block written by matrix_to_text."""
-    rows = []
-    for line in text.strip().splitlines():
-        entries = [complex(tok) for tok in line.split()]
-        if len(entries) != 4:
-            raise DomainError("matrix rows must carry 4 entries")
-        rows.append(entries)
-    if len(rows) != 4:
-        raise DomainError("matrix blocks must carry 4 rows")
-    return np.array(rows, dtype=complex)

@@ -170,30 +170,10 @@ def closed_form_fidelity(c1, c2, q):
     return c1 + q * c2
 
 
-def closed_form_measures(c1, c2, c3):
-    """Closed-form concurrence, log-negativity and discord of the output.
-
-    Eigenvalue sums skip non-positive values, since the closed-form block
-    is not normalized for every parameter choice.
-    """
-    conc = max(0.0, 2.0 * (c3 - c1), 2.0 * c2)
-    ln = max(0.0, math.log2(1.0 + 2.0 * max(0.0, c2 + c3 - c1)))
-    lam = np.array([c1 + c2, c1 - c2, c3, -c3])
-    ssum = 0.0
-    for v in lam:
-        if v > 1e-15:
-            ssum += v * math.log2(v)
-    h = correlations._h2
-    s = 0.5 * (1.0 + math.sqrt((1.0 - 2.0 * c1) ** 2 + 4.0 * (c2 + c3) ** 2))
-    q1 = h(c1) + ssum + h(s)
-    q2 = ssum + 2.0 * c1
-    return {"concurrence": conc, "log_negativity": ln, "discord": min(q1, q2)}
-
-
-def teleported_measures(result, discord_variant=correlations.DISCORD_CORRECTED):
+def teleported_measures(result):
     """Correlation measures of the (renormalized) teleported state."""
     rho = np.asarray(result.rho_out, dtype=complex)
     tr = float(np.real(np.trace(rho)))
     if not tr > 0.0:
         raise DomainError("teleported state has non-positive trace")
-    return correlations.correlation_report(rho / tr, discord_variant=discord_variant)
+    return correlations.correlation_report(rho / tr)

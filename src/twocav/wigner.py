@@ -326,7 +326,9 @@ def _abs_integral(rho, grid, window, element_source):
 
 
 def volume_pair(rho, grid, window=FockWindow(), element_source=ORACLE):
-    """Raw volume quadrature at the grid resolution and at half of it."""
+    """Negativity volume V = (1/2)(integral of |W| - 1), unclamped, at the
+    grid resolution and at half of it; the CLI gates their gap
+    (`cli.VOLUME_GATE`)."""
 
     def volume_at(n_pts):
         g = PhaseSpaceGrid(extent=grid.extent, points_per_axis=n_pts)
@@ -336,24 +338,3 @@ def volume_pair(rho, grid, window=FockWindow(), element_source=ORACLE):
     if half % 2:
         half += 1
     return volume_at(grid.points_per_axis), volume_at(max(8, half))
-
-
-def negativity_volume(rho, grid, window=FockWindow(), element_source=ORACLE,
-                      tol=1e-3):
-    """Negativity volume V = (1/2)(integral of |W| - 1).
-
-    The quadrature is repeated at half the grid resolution; a convergence
-    error carrying both values is raised when they differ by more than
-    10 * tol.  Small negative results within tol are clamped to zero.
-    """
-    fine, coarse = volume_pair(rho, grid, window, element_source)
-    if abs(fine - coarse) > 10.0 * tol:
-        raise QuadratureConvergenceError(
-            "negativity volume not converged: %g vs %g at half resolution"
-            % (fine, coarse),
-            fine=fine,
-            coarse=coarse,
-        )
-    if fine < -tol:
-        raise ConsistencyError("negativity volume is negative beyond tolerance")
-    return max(0.0, fine)

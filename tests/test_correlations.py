@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from twocav import correlations as co, dynamics, states
+from twocav import correlations as co, dynamics, errata, states
 from twocav.errors import DomainError
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -109,11 +109,11 @@ def test_discord_x_rejects_non_x_states():
 
 
 def test_discord_printed_variant_goes_negative():
-    # The variant without entropy weights on the population sum is kept
-    # for comparisons only; on the Bell state it under-shoots badly.
+    # The printed second candidate misses the entropy weights on the
+    # population sum; on the Bell state it under-shoots badly.
     rho = states.build_epr(INV_SQRT2, INV_SQRT2)
-    printed = co.discord_x(rho, variant=co.DISCORD_PRINTED)
-    corrected = co.discord_x(rho, variant=co.DISCORD_CORRECTED)
+    printed = errata.discord_second_branch_printed(rho)
+    corrected = co.discord_x(rho)
     assert printed < corrected
     assert corrected == pytest.approx(1.0, abs=1e-10)
 

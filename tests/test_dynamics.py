@@ -221,6 +221,10 @@ def test_evolve_grid_validation():
             engine(rho, params, model, [0.0, 1.0, np.inf])
         with pytest.raises(DomainError, match="finite"):
             engine(rho, params, model, [0.0, np.nan])
+        with pytest.raises(DomainError, match="non-empty 1-D"):
+            engine(rho, params, model, [])
+        with pytest.raises(DomainError, match="non-empty 1-D"):
+            engine(rho, params, model, [[0.0, 1.0]])
     with pytest.raises(DomainError):
         dynamics.evolve_ode(rho, params, model, [0.0, 1.0], substeps=0)
 

@@ -197,6 +197,56 @@ def test_cli_fig2_panels_share_one_trajectory(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+# CSV names of each bundle, in order, and how many trajectories it evolves.
+FIGURE_BUNDLES = {
+    "fig2": (["fig2a_measures", "fig2b_populations"], 1),
+    "fig3": (["fig3a_measures", "fig3b_measures", "fig3c_measures"], 3),
+    "fig4": (["fig4a_measures", "fig4b_measures", "fig4c_measures",
+              "fig4d_measures"], 4),
+    "fig5": (["fig5a_wigner", "fig5a_volume", "fig5b_wigner", "fig5b_volume"], 2),
+    "fig6": (["fig6_teleport"], 1),
+    "fig7": (["fig7a_teleport", "fig7b_teleport", "fig7c_teleport"], 3),
+    "fig8": (["fig8a_teleport", "fig8b_teleport"], 2),
+    "fig9": (["fig9a_teleport", "fig9b_teleport", "fig9c_teleport"], 3),
+}
+
+
+@pytest.mark.parametrize("figure_id", cli.FIGURE_IDS)
+def test_cli_figure_bundle_evolves_each_scenario_once(figure_id, tmp_path,
+                                                      monkeypatch):
+    calls = []
+    evolve = cli.dynamics.evolve
+
+    def counting_evolve(*args):
+        calls.append(args)
+        return evolve(*args)
+
+    monkeypatch.setattr(cli.dynamics, "evolve", counting_evolve)
+    paths = cli.run_figures(figure_id, str(tmp_path))
+    names, evolutions = FIGURE_BUNDLES[figure_id]
+    assert [os.path.basename(p) for p in paths] == [n + ".csv" for n in names]
+    assert len(calls) == evolutions
+
+
+def test_cli_coherent_teleport_rejected_before_evolving(tmp_path):
+    # The Ohmic t_max overflows (exit 3) if the channel is ever evolved.
+    text = BASE.replace("state = epr", "state = coherent\nnbar_prime = 1.0")
+    text = text.replace("model = markovian", "model = ohmic\nr = 5.0")
+    path = _write(tmp_path, text.replace("t_max = 1.0", "t_max = 200"))
+    assert cli.main(["evolve", "--scenario", path, "--out", str(tmp_path)]) == 3
+    assert cli.main(["teleport", "--scenario", path, "--out", str(tmp_path)]) == 2
+
+
+def test_cli_unwritable_out_exit_2(tmp_path, capsys):
+    path = _write(tmp_path, BASE)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "sub")
+    assert cli.main(["evolve", "--scenario", path, "--out", out]) == 2
+    assert cli.main(["figures", "fig6", "--out", out]) == 2
+    assert capsys.readouterr().err.count("configuration error:") == 2
+
+
 def test_cli_mode_flags_override_scenario(tmp_path):
     path = _write(tmp_path, BASE)
     code = cli.main(["teleport", "--scenario", path, "--out", str(tmp_path),

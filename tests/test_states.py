@@ -21,33 +21,6 @@ def test_window_basis_labels():
     assert FockWindow(2, 5).basis_labels() == [(2, 5), (2, 6), (3, 5), (3, 6)]
 
 
-def test_thermal_occupation_zero_temperature_is_exact_zero():
-    assert states.thermal_occupation(0.0, 1e9) == 0.0
-
-
-def test_thermal_occupation_ln2_point():
-    # hbar*nu/(kB*T) = ln 2 gives occupation exactly 1.
-    from scipy.constants import hbar, k as k_b
-
-    t = 300.0
-    nu = math.log(2.0) * k_b * t / hbar
-    assert states.thermal_occupation(t, nu) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_thermal_occupation_monotone_vanishing():
-    nu = 1e12
-    vals = [states.thermal_occupation(t, nu) for t in (100.0, 10.0, 1.0, 0.1)]
-    assert all(x > y for x, y in zip(vals, vals[1:]))
-    assert vals[-1] < 1e-30
-
-
-def test_thermal_occupation_domain_errors():
-    with pytest.raises(DomainError):
-        states.thermal_occupation(-1.0, 1e9)
-    with pytest.raises(DomainError):
-        states.thermal_occupation(1.0, 0.0)
-
-
 def test_coherent_amplitudes_vacuum_raw_values():
     amp = states.coherent_amplitudes_paper(0.0, FockWindow(0, 0))
     # 0**0 := 1 puts weight on the two zero-exponent slots of the printed
@@ -146,15 +119,3 @@ def test_validate_reports():
     assert states.validate(bad).hermiticity_defect > 0.0
     with pytest.raises(DomainError):
         states.validate(np.eye(4) / 4.0, tol=0.0)
-
-
-def test_matrix_text_round_trip():
-    rng = np.random.default_rng(11)
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    back = states.matrix_from_text(states.matrix_to_text(m))
-    assert np.array_equal(back, m)  # bit-exact round trip
-
-
-def test_matrix_from_text_rejects_bad_shapes():
-    with pytest.raises(DomainError):
-        states.matrix_from_text("1+0j 2+0j\n")

@@ -177,15 +177,6 @@ def test_teleported_measures_reject_degenerate_outputs():
             tp.teleported_measures(res)
 
 
-def test_closed_form_measures_consistency():
-    rho0 = states.build_epr(INV_SQRT2, INV_SQRT2)
-    channel = dynamics.evolve_analytic_vacuum(rho0, 0.3, 0)
-    k1, k2, k3 = tp.closed_form_epr(channel, 0.0, 1.0)
-    out = tp.closed_form_measures(k1, k2, k3)
-    assert out["concurrence"] >= 0.0
-    assert out["log_negativity"] >= 0.0
-
-
 def test_index_order_validation():
     with pytest.raises(DomainError):
         tp.teleport_general(np.eye(4) / 4.0, tp.input_state(0.0, 1.0),

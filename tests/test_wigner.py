@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from twocav import states, wigner as wg
+from twocav import cli, scenario, states, wigner as wg
 from twocav.errors import DomainError, QuadratureConvergenceError
 from twocav.states import FockWindow
 
@@ -158,21 +158,29 @@ def test_field_normalization_entangled_state():
 
 
 def test_volume_vacuum_zero():
-    v = wg.negativity_volume(VACUUM, wg.PhaseSpaceGrid(6.0, 32), W0)
-    assert v < 1e-3
+    fine, coarse = wg.volume_pair(VACUUM, wg.PhaseSpaceGrid(6.0, 32), W0)
+    assert abs(fine) < 1e-3
+    assert abs(fine - coarse) <= 1e-2
 
 
 def test_volume_fock_state_positive():
-    v = wg.negativity_volume(
-        FOCK_01, wg.PhaseSpaceGrid(5.0, 48), W0, tol=5e-3
-    )
-    assert v > 0.01
+    fine, coarse = wg.volume_pair(FOCK_01, wg.PhaseSpaceGrid(5.0, 48), W0)
+    assert fine > 0.01
+    assert abs(fine - coarse) <= 5e-2
 
 
-def test_volume_convergence_error_carries_both_values():
+def test_volume_convergence_error_carries_both_values(tmp_path):
+    # The CLI volume table gates the fine/coarse gap; a coarse grid on a
+    # strongly negative state trips it.
+    scn = scenario.parse_scenario(
+        "schema = 1\nstate = noon\nmodel = markovian\nt_max = 0\nsteps = 2\n"
+        "points = 16\nextent = 6.0\n")
     with pytest.raises(QuadratureConvergenceError) as err:
-        wg.negativity_volume(FOCK_01, wg.PhaseSpaceGrid(6.0, 32), W0, tol=1e-4)
-    assert err.value.fine is not None and err.value.coarse is not None
+        cli.run_scenario(scn, [("volume", "volume")], str(tmp_path))
+    fine, coarse = err.value.fine, err.value.coarse
+    assert fine is not None and coarse is not None
+    assert abs(fine - coarse) > cli.VOLUME_GATE
+    assert not (tmp_path / "volume.csv").exists()
 
 
 def test_field_is_real_everywhere():
