@@ -1,8 +1,10 @@
 """Scenario-driven command line emitting deterministic CSV series.
 
 Subcommands: evolve, correlations, wigner, volume, teleport, figures.
-Each scenario subcommand names a table builder in `TABLES` that turns a
-scenario and its evolved trajectory into CSV columns and rows.
+The scenario subcommands take only --scenario and --out: the scenario file
+is the whole configuration of a run.  Each scenario subcommand names a
+table builder in `TABLES` that turns a scenario and its evolved trajectory
+into CSV columns and rows.
 `run_scenario` evolves a scenario once and writes every requested table;
 `figures` runs the preset bundles of `FIGURES` through it.  The volume
 table holds the one convergence gate of the negativity volume,
@@ -68,9 +70,7 @@ def _correlations_table(scn, traj):
 def _wigner_table(scn, traj):
     rows = []
     for t, rho in zip(traj.times, traj.states):
-        w0 = wigner.wigner_joint(rho, 0.0, 0.0, scn.window,
-                                 element_source=scn.elements)
-        rows.append([t, w0])
+        rows.append([t, wigner.wigner_joint(rho, 0.0, 0.0, scn.window)])
     return ["t", "w_origin"], rows
 
 
@@ -78,12 +78,10 @@ VOLUME_GATE = 0.05  # largest tolerated drift between the two resolutions
 
 
 def _volume_table(scn, traj):
-    extent = scn.extent if scn.extent is not None else wigner.default_extent(scn.window)
-    grid = wigner.PhaseSpaceGrid(extent=extent, points_per_axis=scn.points)
+    grid = scn.grid()
     rows = []
     for t, rho in zip(traj.times, traj.states):
-        v, v_half = wigner.volume_pair(rho, grid, scn.window,
-                                       element_source=scn.elements)
+        v, v_half = wigner.volume_pair(rho, grid, scn.window)
         if abs(v - v_half) > VOLUME_GATE:
             raise QuadratureConvergenceError(
                 "volume quadrature not converged at t = %g: %g vs %g"
@@ -229,9 +227,6 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("--scenario", required=True)
         p.add_argument("--out", default=".")
-        p.add_argument("--mode", choices=["leaky", "paper"])
-        p.add_argument("--elements", choices=["oracle", "paper"])
-        p.add_argument("--index-order", choices=["printed", "symmetric"])
     p = sub.add_parser("figures")
     p.add_argument("figure", choices=FIGURE_IDS)
     p.add_argument("--out", default=".")
@@ -251,12 +246,6 @@ def main(argv=None):
             paths = run_figures(args.figure, args.out)
         else:
             scn = scenario_mod.load_scenario(args.scenario)
-            if args.mode:
-                scn.closure = args.mode
-            if args.elements:
-                scn.elements = args.elements
-            if args.index_order:
-                scn.index_order = args.index_order
             paths = run_scenario(scn, [(args.command, TABLES[args.command][1])],
                                  args.out)
     except (ScenarioError, DomainError, OSError) as exc:

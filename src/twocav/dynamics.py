@@ -38,15 +38,14 @@ class Markovian:
 class NonMarkovianOhmic:
     """Ohmic-reservoir accumulated decoherence; time axis is omega0 * t.
 
-    r is the cutoff ratio omega_c / omega0.
+    r is the cutoff ratio omega_c / omega0; omega0 only sets the time unit.
     """
 
-    omega0: float = 1.0
     r: float = 1.0
 
     def __post_init__(self):
-        if not (self.omega0 > 0 and self.r > 0):
-            raise DomainError("omega0 and r must be positive")
+        if not self.r > 0:
+            raise DomainError("r must be positive")
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,6 @@ class EvolutionParams:
     window: FockWindow = field(default_factory=FockWindow)
     nbar: float = 0.0
     closure_mode: str = LEAKY
-    rho13_strict: bool = False
 
     def __post_init__(self):
         if not self.nbar >= 0:
@@ -184,14 +182,15 @@ def accumulated_theta(model, t):
     raise TypeError("unknown damping model %r" % (model,))
 
 
-def _rhs_with_rate(rho, th, params):
-    """Right-hand side of the 16-equation window system at rate th.
+def _rhs(rho, params):
+    """Right-hand side of the 16-equation window system at unit rate.
 
     Follows the printed cascade except that rho14/rho41 decays at rate
     theta*(n1+m1+2) (the printed index product is inconsistent with the
     vacuum closed forms), and the extra theta/2 term of rho13/rho31 takes
-    an nbar factor unless params.rho13_strict is set.  Paper closure
-    replaces the rho44 row by the trace-closure constraint.
+    the same nbar factor as its rho12/rho21 mirror (the printed form
+    without it is `errata.rho13_strict_printed`).  Paper closure replaces
+    the rho44 row by the trace-closure constraint.
     """
     n1, m1 = params.window.n1, params.window.m1
     nb = params.nbar
@@ -199,72 +198,71 @@ def _rhs_with_rate(rho, th, params):
     d = np.empty((4, 4), dtype=complex)
 
     d[0, 0] = (
-        -th * (2.0 * nb * (n1 + m1 + 1) + (n1 + m1)) * r[0, 0]
-        + th * (nb + 1.0) * ((n1 + 1) * r[2, 2] + (m1 + 1) * r[1, 1])
+        -(2.0 * nb * (n1 + m1 + 1) + (n1 + m1)) * r[0, 0]
+        + (nb + 1.0) * ((n1 + 1) * r[2, 2] + (m1 + 1) * r[1, 1])
     )
     d[0, 1] = (
-        -0.5 * th * (nb + 1.0) * ((2 * n1 + 2 * m1 + 1) * r[0, 1] - 2 * (n1 + 1) * r[2, 3])
-        - 0.5 * th * nb * (2 * n1 + m1 + 3) * r[0, 1]
+        -0.5 * (nb + 1.0) * ((2 * n1 + 2 * m1 + 1) * r[0, 1] - 2 * (n1 + 1) * r[2, 3])
+        - 0.5 * nb * (2 * n1 + m1 + 3) * r[0, 1]
     )
-    rho13_factor = 1.0 if params.rho13_strict else nb
     d[0, 2] = (
-        -0.5 * th * (nb + 1.0) * ((2 * n1 + 2 * m1 + 1) * r[0, 2] - 2 * (n1 + 1) * r[1, 3])
-        - 0.5 * th * rho13_factor * (2 * n1 + m1 + 3) * r[0, 2]
+        -0.5 * (nb + 1.0) * ((2 * n1 + 2 * m1 + 1) * r[0, 2] - 2 * (n1 + 1) * r[1, 3])
+        - 0.5 * nb * (2 * n1 + m1 + 3) * r[0, 2]
     )
     d[0, 3] = (
-        -th * (n1 + m1 + 2) * r[0, 3]
-        - 0.5 * th * nb * (n1 + m1 + 2) * r[0, 3]
+        -(n1 + m1 + 2) * r[0, 3]
+        - 0.5 * nb * (n1 + m1 + 2) * r[0, 3]
     )
     d[1, 0] = (
-        -0.5 * th * (nb + 1.0) * ((2 * n1 + 2 * m1 + 1) * r[1, 0] - 2 * (n1 + 1) * r[3, 2])
-        - 0.5 * th * nb * (2 * n1 + m1 + 3) * r[1, 0]
+        -0.5 * (nb + 1.0) * ((2 * n1 + 2 * m1 + 1) * r[1, 0] - 2 * (n1 + 1) * r[3, 2])
+        - 0.5 * nb * (2 * n1 + m1 + 3) * r[1, 0]
     )
     d[1, 1] = (
-        -th * (nb + 1.0) * ((n1 + m1 + 1) * r[1, 1] - (n1 + 1) * r[3, 3])
-        - th * nb * ((n1 + 1) * r[1, 1] - (m1 + 1) * r[0, 0])
+        -(nb + 1.0) * ((n1 + m1 + 1) * r[1, 1] - (n1 + 1) * r[3, 3])
+        - nb * ((n1 + 1) * r[1, 1] - (m1 + 1) * r[0, 0])
     )
     d[1, 2] = (
-        -th * (nb + 1.0) * (n1 + m1 + 1) * r[1, 2]
-        - 0.5 * th * nb * (n1 + m1 + 2) * r[1, 2]
+        -(nb + 1.0) * (n1 + m1 + 1) * r[1, 2]
+        - 0.5 * nb * (n1 + m1 + 2) * r[1, 2]
     )
     d[1, 3] = (
-        -0.5 * th * (nb + 1.0) * (2 * n1 + 2 * m1 + 3) * r[1, 3]
-        - 0.5 * th * nb * ((n1 + 1) * r[1, 3] - 2 * (m1 + 1) * r[0, 2])
+        -0.5 * (nb + 1.0) * (2 * n1 + 2 * m1 + 3) * r[1, 3]
+        - 0.5 * nb * ((n1 + 1) * r[1, 3] - 2 * (m1 + 1) * r[0, 2])
     )
     d[2, 0] = (
-        -0.5 * th * (nb + 1.0) * ((2 * n1 + 2 * m1 + 1) * r[2, 0] - 2 * (n1 + 1) * r[3, 1])
-        - 0.5 * th * rho13_factor * (2 * n1 + m1 + 3) * r[2, 0]
+        -0.5 * (nb + 1.0) * ((2 * n1 + 2 * m1 + 1) * r[2, 0] - 2 * (n1 + 1) * r[3, 1])
+        - 0.5 * nb * (2 * n1 + m1 + 3) * r[2, 0]
     )
     d[2, 1] = (
-        -th * (nb + 1.0) * (n1 + m1 + 1) * r[2, 1]
-        - 0.5 * th * nb * (n1 + m1 + 2) * r[2, 1]
+        -(nb + 1.0) * (n1 + m1 + 1) * r[2, 1]
+        - 0.5 * nb * (n1 + m1 + 2) * r[2, 1]
     )
     d[2, 2] = (
-        -th * (nb + 1.0) * ((n1 + m1 + 1) * r[2, 2] - (m1 + 1) * r[3, 3])
-        - th * nb * ((m1 + 1) * r[2, 2] - (n1 + 1) * r[0, 0])
+        -(nb + 1.0) * ((n1 + m1 + 1) * r[2, 2] - (m1 + 1) * r[3, 3])
+        - nb * ((m1 + 1) * r[2, 2] - (n1 + 1) * r[0, 0])
     )
     d[2, 3] = (
-        -0.5 * th * (nb + 1.0) * (2 * n1 + 2 * m1 + 3) * r[2, 3]
-        - 0.5 * th * nb * ((m1 + 1) * r[2, 3] - 2 * (n1 + 1) * r[0, 1])
+        -0.5 * (nb + 1.0) * (2 * n1 + 2 * m1 + 3) * r[2, 3]
+        - 0.5 * nb * ((m1 + 1) * r[2, 3] - 2 * (n1 + 1) * r[0, 1])
     )
     d[3, 0] = (
-        -th * (n1 + m1 + 2) * r[3, 0]
-        - 0.5 * th * nb * (n1 + m1 + 2) * r[3, 0]
+        -(n1 + m1 + 2) * r[3, 0]
+        - 0.5 * nb * (n1 + m1 + 2) * r[3, 0]
     )
     d[3, 1] = (
-        -0.5 * th * (nb + 1.0) * (2 * n1 + 2 * m1 + 3) * r[3, 1]
-        - 0.5 * th * nb * ((n1 + 1) * r[3, 1] - 2 * (m1 + 1) * r[2, 0])
+        -0.5 * (nb + 1.0) * (2 * n1 + 2 * m1 + 3) * r[3, 1]
+        - 0.5 * nb * ((n1 + 1) * r[3, 1] - 2 * (m1 + 1) * r[2, 0])
     )
     d[3, 2] = (
-        -0.5 * th * (nb + 1.0) * (2 * n1 + 2 * m1 + 3) * r[3, 2]
-        - 0.5 * th * nb * ((m1 + 1) * r[3, 2] - 2 * (n1 + 1) * r[1, 0])
+        -0.5 * (nb + 1.0) * (2 * n1 + 2 * m1 + 3) * r[3, 2]
+        - 0.5 * nb * ((m1 + 1) * r[3, 2] - 2 * (n1 + 1) * r[1, 0])
     )
     if params.closure_mode == PAPER_CLOSURE:
         d[3, 3] = -(d[0, 0] + d[1, 1] + d[2, 2])
     else:
         d[3, 3] = (
-            -th * (nb + 1.0) * (n1 + m1 + 2) * r[3, 3]
-            + th * nb * ((n1 + 1) * r[1, 1] + (m1 + 1) * r[2, 2])
+            -(nb + 1.0) * (n1 + m1 + 2) * r[3, 3]
+            + nb * ((n1 + 1) * r[1, 1] + (m1 + 1) * r[2, 2])
         )
     return d
 
@@ -280,7 +278,7 @@ def generator_matrix(params):
     for k in range(16):
         basis = np.zeros(16, dtype=complex)
         basis[k] = 1.0
-        a[:, k] = _rhs_with_rate(basis.reshape(4, 4), 1.0, params).ravel()
+        a[:, k] = _rhs(basis.reshape(4, 4), params).ravel()
     return a
 
 
@@ -356,7 +354,7 @@ def evolve_ode(rho0, params, model, times, substeps=100):
     return Trajectory(times=times.copy(), states=out)
 
 
-def evolve_analytic_vacuum(rho0, theta, m1, rho13_strict=False):
+def evolve_analytic_vacuum(rho0, theta, m1):
     """Closed-form vacuum-reservoir propagator for n1 = m1 windows.
 
     `theta` is the accumulated decoherence Theta(t).  The exponents come
@@ -399,28 +397,18 @@ def evolve_analytic_vacuum(rho0, theta, m1, rho13_strict=False):
     out[0, 1] = (r0[0, 1] + mp1 * r0[2, 3]) * e_slow - mp1 * r0[2, 3] * e_fast
     out[1, 0] = (r0[1, 0] + mp1 * r0[3, 2]) * e_slow - mp1 * r0[3, 2] * e_fast
 
-    if rho13_strict:
-        # Extra theta/2 decay term without the nbar factor, as printed.
-        e_strict = E((7 * m + 4) / 2.0)
-        c13 = 2.0 * mp1 * r0[1, 3] / (3 * m + 1.0)
-        c31 = 2.0 * mp1 * r0[3, 1] / (3 * m + 1.0)
-        out[0, 2] = (r0[0, 2] - c13) * e_strict + c13 * e_fast
-        out[2, 0] = (r0[2, 0] - c31) * e_strict + c31 * e_fast
-    else:
-        out[0, 2] = (r0[0, 2] + mp1 * r0[1, 3]) * e_slow - mp1 * r0[1, 3] * e_fast
-        out[2, 0] = (r0[2, 0] + mp1 * r0[3, 1]) * e_slow - mp1 * r0[3, 1] * e_fast
+    out[0, 2] = (r0[0, 2] + mp1 * r0[1, 3]) * e_slow - mp1 * r0[1, 3] * e_fast
+    out[2, 0] = (r0[2, 0] + mp1 * r0[3, 1]) * e_slow - mp1 * r0[3, 1] * e_fast
 
     return out
 
 
-def evolve_analytic_trajectory(rho0, model, times, m1, rho13_strict=False):
+def evolve_analytic_trajectory(rho0, model, times, m1):
     """Analytic propagator applied at Theta(t) for each grid time."""
     times = np.asarray(times, dtype=float)
     out = np.empty((len(times), 4, 4), dtype=complex)
     for k, t in enumerate(times):
-        out[k] = evolve_analytic_vacuum(
-            rho0, accumulated_theta(model, t), m1, rho13_strict=rho13_strict
-        )
+        out[k] = evolve_analytic_vacuum(rho0, accumulated_theta(model, t), m1)
     return Trajectory(times=times.copy(), states=out)
 
 

@@ -2,11 +2,13 @@
 
 Each function here reproduces a source formula exactly as printed so that
 tests can show where it disagrees with an independent oracle (the ODE
-integrator, the exponentiated displacement operator, or the brute-force
-discord).  Where a corrected form exists it is the production one: the
-populations come from `dynamics.evolve_analytic_vacuum`, and the corrected
-displaced-parity element is `wigner.displaced_parity`.  Nothing in this
-module is used by the production paths.
+integrator, the exponentiated displacement operator, a symmetry of the
+exact propagator, or the corrected discord branch).  Where a corrected
+form exists it is the production one: the populations come from
+`dynamics.evolve_analytic_vacuum`, the rho13 coherence from the generator
+behind `dynamics.evolve`, the displaced-parity element is
+`wigner.displaced_parity`, and the discord is `correlations.discord_x`.  Nothing in this module is used by the
+production paths.
 """
 
 import math
@@ -15,6 +17,7 @@ import numpy as np
 
 from . import dynamics
 from .errors import DomainError
+from .wigner import laguerre_assoc
 
 
 def printed_populations(rho0, theta_t, m1):
@@ -71,3 +74,44 @@ def discord_second_branch_printed(rho):
     if 0.0 < x < 1.0:
         h = -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
     return -float(np.sum(p)) - h
+
+
+def rho13_strict_printed(rho0, theta, m1):
+    """Vacuum-reservoir rho13 with the printed extra decay term.
+
+    The printed rho13/rho31 equations carry an extra theta/2 (2 n1 + m1 + 3)
+    decay term without the nbar factor of their rho12/rho21 mirrors, so it
+    acts even at nbar = 0.  This is the closed form of that equation for an
+    n1 = m1 window at accumulated decoherence theta (rho31 is its
+    conjugate).  It breaks the mode-exchange symmetry rho12 = rho13 that
+    `dynamics.evolve` keeps.
+    """
+    if m1 < 0:
+        raise DomainError("m1 must be non-negative")
+    r0 = np.asarray(rho0, dtype=complex)
+    c = 2.0 * (m1 + 1.0) * r0[1, 3] / (3 * m1 + 1.0)
+    return ((r0[0, 2] - c) * math.exp(-theta * (7 * m1 + 4) / 2.0)
+            + c * math.exp(-theta * (4 * m1 + 3) / 2.0))
+
+
+def displaced_parity_printed(m, mp, alpha):
+    """Displaced-parity element from the printed closed form.
+
+    Evaluated verbatim (with the factorial ratio read as m!/m'!), elementwise
+    over an array of alpha: for m' >= m this is e^{-|a|^2} (-1)^m
+    (2|a|)^{m'-m} sqrt(m!/m'!) L_m^{m'-m}(|a|); m > m' follows from
+    conjugate symmetry.  Correct at alpha = 0 but disagrees with
+    `wigner.displaced_parity` off the origin.
+    """
+    if m < 0 or mp < 0:
+        raise DomainError("Fock indices must be non-negative")
+    if m > mp:
+        return np.conj(displaced_parity_printed(mp, m, alpha))
+    a = np.abs(alpha)
+    return (
+        np.exp(-a * a)
+        * (-1.0) ** m
+        * (2.0 * a) ** (mp - m)
+        * math.sqrt(math.factorial(m) / math.factorial(mp))
+        * laguerre_assoc(m, mp - m, a)
+    )

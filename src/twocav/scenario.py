@@ -1,19 +1,25 @@
-"""Plain key=value scenario files driving the command-line pipelines."""
+"""Plain key=value scenario files driving the command-line pipelines.
+
+A scenario file is the whole description of a run.  `parse_scenario`
+builds every object a run uses (evolution parameters, initial state,
+volume grid and teleport input) once, so each value is checked by the
+object that uses it and bad input fails before anything is evolved.
+"""
 
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import dynamics, states
-from .errors import ScenarioError
+from . import dynamics, states, teleport, wigner
+from .errors import DomainError, ScenarioError
 
 SCHEMA_VERSION = 1
 
 _KNOWN_KEYS = {
     "schema", "state", "a", "d", "b", "c", "nbar_prime",
     "n1", "m1", "nbar",
-    "model", "gamma_m", "omega0", "r", "omega_c",
-    "t_max", "steps", "closure", "rho13_strict",
+    "model", "gamma_m", "r", "omega_c",
+    "t_max", "steps", "closure",
     "p", "q", "index_order",
     "extent", "points", "elements",
 }
@@ -21,7 +27,7 @@ _KNOWN_KEYS = {
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     """Fully-resolved run description, as parsed from a scenario file."""
 
@@ -32,7 +38,6 @@ class Scenario:
     t_max: float
     steps: int
     closure: str = dynamics.LEAKY
-    rho13_strict: bool = False
     state_params: dict = field(default_factory=dict)
     p: float = 0.0
     q: float = 1.0
@@ -58,7 +63,6 @@ class Scenario:
             window=self.window,
             nbar=self.nbar,
             closure_mode=self.closure,
-            rho13_strict=self.rho13_strict,
         )
 
     def time_grid(self):
@@ -68,8 +72,17 @@ class Scenario:
             return np.array([0.0])
         return np.linspace(0.0, self.t_max, self.steps)
 
+    def grid(self):
+        """Phase-space grid of the negativity volume."""
+        extent = self.extent
+        if extent is None:
+            extent = wigner.default_extent(self.window)
+        return wigner.PhaseSpaceGrid(extent=extent, points_per_axis=self.points)
+
     def summary(self):
-        """One-line key=value record for CSV comment headers, overrides included."""
+        """One-line key=value record for CSV comment headers; closure,
+        index_order and elements appear even when the file leaves them at
+        their defaults."""
         items = dict(self.raw, closure=self.closure,
                      index_order=self.index_order, elements=self.elements)
         return " ".join("%s=%s" % (k, items[k]) for k in sorted(items))
@@ -89,12 +102,15 @@ def _get(table, key, convert, default=None, required=False):
     return value
 
 
-def _parse_bool(text):
-    if text.lower() in ("true", "yes", "1"):
-        return True
-    if text.lower() in ("false", "no", "0"):
-        return False
-    raise ValueError(text)
+def _model(table):
+    name = _get(table, "model", str, required=True).lower()
+    if name == "markovian":
+        return dynamics.Markovian(gamma_m=_get(table, "gamma_m", float, default=1.0))
+    if name == "ohmic":
+        return dynamics.NonMarkovianOhmic(r=_get(table, "r", float, default=1.0))
+    if name == "kernel":
+        return dynamics.KernelIntegral(omega_c=_get(table, "omega_c", float, default=1.0))
+    raise ScenarioError("model must be markovian, ohmic or kernel")
 
 
 def parse_scenario(text):
@@ -131,25 +147,6 @@ def parse_scenario(text):
             table, "nbar_prime", float, required=True
         )
 
-    window = states.FockWindow(
-        n1=_get(table, "n1", int, default=0), m1=_get(table, "m1", int, default=0)
-    )
-
-    model_name = _get(table, "model", str, required=True).lower()
-    if model_name == "markovian":
-        model = dynamics.Markovian(gamma_m=_get(table, "gamma_m", float, default=1.0))
-    elif model_name == "ohmic":
-        model = dynamics.NonMarkovianOhmic(
-            omega0=_get(table, "omega0", float, default=1.0),
-            r=_get(table, "r", float, default=1.0),
-        )
-    elif model_name == "kernel":
-        model = dynamics.KernelIntegral(
-            omega_c=_get(table, "omega_c", float, default=1.0)
-        )
-    else:
-        raise ScenarioError("model must be markovian, ohmic or kernel")
-
     t_max = _get(table, "t_max", float, required=True)
     if t_max < 0:
         raise ScenarioError("t_max must be non-negative")
@@ -157,47 +154,49 @@ def parse_scenario(text):
     if steps < 2:
         raise ScenarioError("steps must be at least 2")
 
-    closure = _get(table, "closure", str, default=dynamics.LEAKY).lower()
-    if closure not in (dynamics.LEAKY, dynamics.PAPER_CLOSURE):
-        raise ScenarioError("closure must be leaky or paper")
-
     index_order = _get(table, "index_order", str, default="printed").lower()
     if index_order not in ("printed", "symmetric"):
         raise ScenarioError("index_order must be printed or symmetric")
 
+    # The key stays in every CSV header; its one value names the Laguerre
+    # closed form of the displaced-parity elements.
     elements = _get(table, "elements", str, default="oracle").lower()
-    if elements not in ("oracle", "paper"):
-        raise ScenarioError("elements must be oracle or paper")
+    if elements != "oracle":
+        raise ScenarioError("elements must be oracle")
 
+    # The volume gate compares the grid with one of half the points, never
+    # fewer than 8: an 8-point grid would be compared with itself.
     points = _get(table, "points", int, default=32)
-    if points < 8 or points % 2:
-        raise ScenarioError("points must be even and at least 8")
+    if points < 10 or points % 2:
+        raise ScenarioError("points must be even and at least 10")
 
-    p = _get(table, "p", float, default=0.0)
-    q = _get(table, "q", float, default=1.0)
-    if not 0.0 <= p <= 1.0:
-        raise ScenarioError("p must lie in [0, 1]")
-    if q <= 0.0:
-        raise ScenarioError("q must be positive")
-
-    return Scenario(
-        state=state,
-        window=window,
-        nbar=_get(table, "nbar", float, default=0.0),
-        model=model,
-        t_max=t_max,
-        steps=steps,
-        closure=closure,
-        rho13_strict=_get(table, "rho13_strict", _parse_bool, default=False),
-        state_params=state_params,
-        p=p,
-        q=q,
-        index_order=index_order,
-        extent=_get(table, "extent", float, default=None),
-        points=points,
-        elements=elements,
-        raw=table,
-    )
+    try:
+        scn = Scenario(
+            state=state,
+            window=states.FockWindow(n1=_get(table, "n1", int, default=0),
+                                     m1=_get(table, "m1", int, default=0)),
+            nbar=_get(table, "nbar", float, default=0.0),
+            model=_model(table),
+            t_max=t_max,
+            steps=steps,
+            closure=_get(table, "closure", str, default=dynamics.LEAKY).lower(),
+            state_params=state_params,
+            p=_get(table, "p", float, default=0.0),
+            q=_get(table, "q", float, default=1.0),
+            index_order=index_order,
+            extent=_get(table, "extent", float, default=None),
+            points=points,
+            elements=elements,
+            raw=table,
+        )
+        # Build what a run builds, so the checks of each object fire now.
+        scn.params()
+        scn.initial_state()
+        scn.grid()
+        teleport.input_state(scn.p, scn.q)
+    except DomainError as exc:
+        raise ScenarioError(str(exc)) from exc
+    return scn
 
 
 def load_scenario(path):

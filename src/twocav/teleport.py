@@ -72,8 +72,10 @@ class InputState:
         m[0, 3] = m[3, 0] = self.q / 2.0
         # Frozen, so the derived fields cannot go stale after a change of p or q.
         object.__setattr__(self, "matrix", m)
+        # The eigenvalues of m are 0, 0 and 1/2 +- hypot(p, q/2).  The closed
+        # form keeps LAPACK out of scenario parsing, which builds every input.
         object.__setattr__(self, "non_physical",
-                           bool(np.linalg.eigvalsh(m)[0] < -1e-12))
+                           math.hypot(self.p, 0.5 * self.q) - 0.5 > 1e-12)
         object.__setattr__(self, "corrections", {
             order: tuple(left @ m @ right for left, right in pairs)
             for order, pairs in _PAULI_PAIRS.items()

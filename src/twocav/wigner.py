@@ -11,10 +11,9 @@ of Im beta columns at a time and contracts each block over the other three
 axes with the same trapezoid sums as `integrate_field`, so it matches the
 unstreamed quadrature of `wigner_field` bit for bit.
 
-Two element sources fill the tables: 'oracle' (default) is the Laguerre
-closed form `displaced_parity`, while 'paper' evaluates a printed closed
-form kept for the errata report (it is real-valued and wrong off the
-origin).  `displaced_parity_oracle` (expm of the truncated generator) and
+The Laguerre closed form `displaced_parity` fills every table; the printed
+closed form it replaces is `errata.displaced_parity_printed`.
+`displaced_parity_oracle` (expm of the truncated generator) and
 `parity_table` (batched eigendecomposition) are independent test oracles
 for the closed form and are not used to build the Wigner function.
 """
@@ -27,9 +26,6 @@ from scipy import linalg
 
 from .errors import ConsistencyError, DomainError, QuadratureConvergenceError
 from .states import FockWindow
-
-PAPER = "paper"
-ORACLE = "oracle"
 
 IMAG_TOL = 1e-10
 
@@ -97,29 +93,6 @@ def displaced_parity(m, mp, alpha):
         * (-np.conj(beta)) ** (mp - m)
         * np.exp(-0.5 * b2)
         * laguerre_assoc(m, mp - m, b2)
-    )
-
-
-def displaced_parity_paper(m, mp, alpha):
-    """Displaced-parity element from the printed closed form.
-
-    Evaluated verbatim (with the factorial ratio read as m!/m'!), elementwise
-    over an array of alpha: for m' >= m this is e^{-|a|^2} (-1)^m
-    (2|a|)^{m'-m} sqrt(m!/m'!) L_m^{m'-m}(|a|); m > m' follows from
-    conjugate symmetry.  Correct at alpha = 0 but disagrees with
-    displaced_parity off the origin.
-    """
-    if m < 0 or mp < 0:
-        raise DomainError("Fock indices must be non-negative")
-    if m > mp:
-        return np.conj(displaced_parity_paper(mp, m, alpha))
-    a = np.abs(alpha)
-    return (
-        np.exp(-a * a)
-        * (-1.0) ** m
-        * (2.0 * a) ** (mp - m)
-        * math.sqrt(math.factorial(m) / math.factorial(mp))
-        * laguerre_assoc(m, mp - m, a)
     )
 
 
@@ -201,18 +174,13 @@ def parity_table(alphas, window_index, cutoff):
     return core * np.exp(1j * phases[:, None, None] * dm[None, :, :])
 
 
-_ELEMENTS = {ORACLE: displaced_parity, PAPER: displaced_parity_paper}
-
-
-def _k_tables(points, index, element_source):
+def _k_tables(points, index):
     """Tables K[g, p, q] of shape (G, 2, 2) for rows {index, index + 1}."""
-    element = _ELEMENTS.get(element_source)
-    if element is None:
-        raise DomainError("element_source must be 'paper' or 'oracle'")
     pts = np.asarray(points, dtype=complex)
     rows = (index, index + 1)
     return np.stack(
-        [np.stack([element(p, q, pts) for q in rows], axis=-1) for p in rows],
+        [np.stack([displaced_parity(p, q, pts) for q in rows], axis=-1)
+         for p in rows],
         axis=-2,
     )
 
@@ -240,10 +208,10 @@ def _contract(rho, ka, kb):
     return w.real
 
 
-def wigner_joint(rho, alpha, beta, window=FockWindow(), element_source=ORACLE):
+def wigner_joint(rho, alpha, beta, window=FockWindow()):
     """Joint Wigner function W(alpha, beta) of a window state."""
-    ka = _k_tables([alpha], window.n1, element_source)
-    kb = _k_tables([beta], window.m1, element_source)
+    ka = _k_tables([alpha], window.n1)
+    kb = _k_tables([beta], window.m1)
     return float(_contract(rho, ka, kb)[0, 0])
 
 
@@ -254,7 +222,7 @@ def _grid_points(grid):
     return (re + 1j * im).ravel()
 
 
-def wigner_field(rho, grid, window=FockWindow(), element_source=ORACLE):
+def wigner_field(rho, grid, window=FockWindow()):
     """Wigner function evaluated on the full 4-dimensional grid.
 
     Holds the whole complex field, G^2 values for G points per mode; no
@@ -262,8 +230,8 @@ def wigner_field(rho, grid, window=FockWindow(), element_source=ORACLE):
     streamed quadrature in `volume_pair`.
     """
     pts = _grid_points(grid)
-    ka = _k_tables(pts, window.n1, element_source)
-    kb = _k_tables(pts, window.m1, element_source)
+    ka = _k_tables(pts, window.n1)
+    kb = _k_tables(pts, window.m1)
     n = grid.points_per_axis
     return WignerField(grid=grid, values=_contract(rho, ka, kb).reshape(n, n, n, n))
 
@@ -303,7 +271,7 @@ def _abs_block(left, kb_cols, w):
     return residue, _trapezoid(np.abs(block.real).reshape(n, n, n, -1), w, 3)
 
 
-def _abs_integral(rho, grid, window, element_source):
+def _abs_integral(rho, grid, window):
     """Trapezoidal integral of |W|, streamed over blocks of Im beta columns.
 
     Only one block of the field is held at a time: it lives inside
@@ -312,8 +280,8 @@ def _abs_integral(rho, grid, window, element_source):
     """
     n = grid.points_per_axis
     pts = _grid_points(grid)
-    left = _left(rho, _k_tables(pts, window.n1, element_source))
-    kb = _k_tables(pts, window.m1, element_source).reshape(n, n, 4)
+    left = _left(rho, _k_tables(pts, window.n1))
+    kb = _k_tables(pts, window.m1).reshape(n, n, 4)
     w = _trapezoid_weights(grid)
     partial = np.empty(n)
     residue = 0.0
@@ -325,14 +293,15 @@ def _abs_integral(rho, grid, window, element_source):
     return float(_trapezoid(partial, w, 1))
 
 
-def volume_pair(rho, grid, window=FockWindow(), element_source=ORACLE):
+def volume_pair(rho, grid, window=FockWindow()):
     """Negativity volume V = (1/2)(integral of |W| - 1), unclamped, at the
-    grid resolution and at half of it; the CLI gates their gap
-    (`cli.VOLUME_GATE`)."""
+    grid resolution and at half of it (rounded up to even, at least 8
+    points, so only grids of 10 or more points get a coarser twin); the CLI
+    gates their gap (`cli.VOLUME_GATE`)."""
 
     def volume_at(n_pts):
         g = PhaseSpaceGrid(extent=grid.extent, points_per_axis=n_pts)
-        return 0.5 * (_abs_integral(rho, g, window, element_source) - 1.0)
+        return 0.5 * (_abs_integral(rho, g, window) - 1.0)
 
     half = grid.points_per_axis // 2
     if half % 2:

@@ -30,8 +30,8 @@ def _builders():
 def _models():
     return (
         (dynamics.Markovian(1.0), 5.0),
-        (dynamics.NonMarkovianOhmic(1.0, 1.0), 1.5),
-        (dynamics.NonMarkovianOhmic(1.0, 0.1), 3.0),
+        (dynamics.NonMarkovianOhmic(r=1.0), 1.5),
+        (dynamics.NonMarkovianOhmic(r=0.1), 3.0),
     )
 
 
@@ -281,7 +281,7 @@ def test_criterion_9_errata_enforced():
     worst_fixed = 0.0
     for m, mp in ((0, 0), (0, 1), (1, 2), (2, 2)):
         oracle = wigner.displaced_parity_oracle(m, mp, alpha)
-        printed = wigner.displaced_parity_paper(m, mp, alpha)
+        printed = errata.displaced_parity_printed(m, mp, alpha)
         fixed = wigner.displaced_parity(m, mp, alpha)
         worst_printed = max(worst_printed, abs(printed - oracle))
         worst_fixed = max(worst_fixed, abs(fixed - oracle))

@@ -21,7 +21,7 @@ def test_model_validation():
     with pytest.raises(DomainError):
         dynamics.Markovian(0.0)
     with pytest.raises(DomainError):
-        dynamics.NonMarkovianOhmic(1.0, -1.0)
+        dynamics.NonMarkovianOhmic(r=-1.0)
     with pytest.raises(DomainError):
         dynamics.KernelIntegral(0.0)
     with pytest.raises(DomainError):
@@ -31,8 +31,7 @@ def test_model_validation():
     nan = float("nan")
     for build in (
         lambda: dynamics.Markovian(nan),
-        lambda: dynamics.NonMarkovianOhmic(nan, 1.0),
-        lambda: dynamics.NonMarkovianOhmic(1.0, nan),
+        lambda: dynamics.NonMarkovianOhmic(r=nan),
         lambda: dynamics.KernelIntegral(nan),
         lambda: dynamics.EvolutionParams(nbar=nan),
         lambda: dynamics.gamma_nonmarkov(nan, 1.0),
@@ -87,7 +86,7 @@ def test_kernel_rate_against_quadrature_oracle():
 def test_accumulated_theta_is_antiderivative_of_rate():
     for model in (
         dynamics.Markovian(1.3),
-        dynamics.NonMarkovianOhmic(1.0, 0.7),
+        dynamics.NonMarkovianOhmic(r=0.7),
         dynamics.KernelIntegral(1.1),
     ):
         for t in (0.3, 1.0, 2.0):
@@ -132,20 +131,6 @@ def test_analytic_matches_ode_shifted_window_with_full_coherences():
     )
     ana = dynamics.evolve_analytic_trajectory(rho0, model, times, 1)
     assert np.max(np.abs(traj.states - ana.states)) < 1e-10
-
-
-def test_analytic_matches_ode_strict_coherence_mode():
-    vec = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
-    rho0 = states.pure_state(vec)
-    w = FockWindow(1, 1)
-    times = np.linspace(0.0, 2.0, 60)
-    model = dynamics.Markovian(1.0)
-    params = dynamics.EvolutionParams(window=w, rho13_strict=True)
-    traj = dynamics.evolve_ode(rho0, params, model, times)
-    ana = dynamics.evolve_analytic_trajectory(
-        rho0, model, times, 1, rho13_strict=True
-    )
-    assert np.max(np.abs(traj.states - ana.states)) < 1e-9
 
 
 def test_vacuum_populations_closed_form_base_window():
@@ -239,7 +224,7 @@ def test_single_point_grid_returns_initial_state():
 
 
 def test_overflow_surfaces_during_integration():
-    model = dynamics.NonMarkovianOhmic(1.0, 5.0)
+    model = dynamics.NonMarkovianOhmic(r=5.0)
     for engine in ENGINES:
         with pytest.raises((OverflowGuardError, IntegrationError)):
             engine(
@@ -253,7 +238,7 @@ def test_overflow_surfaces_during_integration():
 # Each rate model with a horizon short of the Ohmic re-amplification.
 ORACLE_MODELS = (
     (dynamics.Markovian(1.0), 3.0),
-    (dynamics.NonMarkovianOhmic(1.0, 1.0), 1.0),
+    (dynamics.NonMarkovianOhmic(r=1.0), 1.0),
     (dynamics.KernelIntegral(1.0), 3.0),
 )
 
@@ -266,7 +251,6 @@ def test_exact_propagator_matches_rk4_oracle():
         dynamics.EvolutionParams(
             window=FockWindow(2, 2), closure_mode=dynamics.PAPER_CLOSURE
         ),
-        dynamics.EvolutionParams(window=FockWindow(1, 1), rho13_strict=True),
     )
     for model, t_max in ORACLE_MODELS:
         times = np.linspace(0.0, t_max, 40)
@@ -282,15 +266,10 @@ def test_exact_propagator_matches_vacuum_closed_form():
     for model, t_max in ORACLE_MODELS:
         times = np.linspace(0.0, t_max, 40)
         for m in (0, 1, 2):
-            for strict in (False, True):
-                params = dynamics.EvolutionParams(
-                    window=FockWindow(m, m), rho13_strict=strict
-                )
-                exact = dynamics.evolve(rho0, params, model, times)
-                ana = dynamics.evolve_analytic_trajectory(
-                    rho0, model, times, m, rho13_strict=strict
-                )
-                assert np.max(np.abs(exact.states - ana.states)) < 1e-12
+            params = dynamics.EvolutionParams(window=FockWindow(m, m))
+            exact = dynamics.evolve(rho0, params, model, times)
+            ana = dynamics.evolve_analytic_trajectory(rho0, model, times, m)
+            assert np.max(np.abs(exact.states - ana.states)) < 1e-12
 
 
 def test_trajectory_rows_shape():

@@ -70,7 +70,7 @@ def test_printed_rho22_exponent_pair_is_degenerate():
 
 def test_printed_parity_element_fails_the_oracle():
     for alpha in (0.5, 1.0, 0.3 + 0.4j):
-        printed = wg.displaced_parity_paper(0, 0, alpha)
+        printed = errata.displaced_parity_printed(0, 0, alpha)
         oracle = wg.displaced_parity_oracle(0, 0, alpha)
         assert abs(printed - oracle) > 1e-3
 
@@ -85,13 +85,35 @@ def test_corrected_parity_element_passes_the_oracle():
 
 def test_printed_parity_element_is_not_hermitian_off_origin():
     alpha = 0.6 + 0.3j
-    k01 = wg.displaced_parity_paper(0, 1, alpha)
-    k10 = wg.displaced_parity_paper(1, 0, alpha)
+    k01 = errata.displaced_parity_printed(0, 1, alpha)
+    k10 = errata.displaced_parity_printed(1, 0, alpha)
     oracle01 = wg.displaced_parity_oracle(0, 1, alpha)
     # conjugate symmetry is imposed by construction, but the common value
     # is wrong:
     assert k01 == pytest.approx(np.conj(k10), abs=1e-12)
     assert abs(k01 - oracle01) > 1e-3
+
+
+def test_printed_rho13_breaks_mode_exchange_symmetry():
+    # On an n1 = m1 window the equations are symmetric under swapping the
+    # two modes, so a state with rho12 = rho13 keeps it under evolution.
+    vec = np.array([0.4, 0.5, 0.5, 0.3 + 0.2j])
+    rho0 = states.pure_state(vec / np.linalg.norm(vec))
+    times = np.linspace(0.0, 2.0, 9)
+    model = dynamics.Markovian(1.0)
+    for m in (0, 1, 2):
+        for nbar in (0.0, 0.3):
+            params = dynamics.EvolutionParams(window=states.FockWindow(m, m),
+                                              nbar=nbar)
+            traj = dynamics.evolve(rho0, params, model, times)
+            assert np.max(np.abs(traj.states[:, 0, 1] - traj.states[:, 0, 2])) < 1e-15
+            assert np.max(np.abs(traj.states[:, 1, 0] - traj.states[:, 2, 0])) < 1e-15
+        # The printed rho13 decays faster than its rho12 mirror.  Theta = t
+        # for the unit Markovian rate.
+        vacuum = dynamics.evolve_analytic_trajectory(rho0, model, times, m)
+        gap = max(abs(errata.rho13_strict_printed(rho0, t, m) - rho[0, 1])
+                  for t, rho in zip(times, vacuum.states))
+        assert gap > 1e-2
 
 
 def test_printed_discord_branch_is_negative():

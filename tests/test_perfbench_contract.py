@@ -1,0 +1,42 @@
+"""What the benchmark under perfbench/ reads from the package.
+
+The benchmark wraps package functions by (module, name) and parses each CSV
+comment line back into a scenario, so both must keep working.  Its files
+are loaded from the checkout, not modified.
+"""
+
+import importlib
+import importlib.util
+import os
+
+import pytest
+
+from twocav import cli, scenario
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_" + name, os.path.join(PERFBENCH, name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_trace_targets_resolve():
+    for mod_name, fn_name in _load("tracing").TARGETS:
+        module = importlib.import_module("twocav." + mod_name)
+        assert callable(getattr(module, fn_name, None)), (mod_name, fn_name)
+
+
+@pytest.mark.parametrize("figure_id", cli.FIGURE_IDS)
+def test_figure_headers_parse_back_to_the_same_scenario(figure_id):
+    oracles = _load("oracles")
+    for keys, outputs in cli.FIGURES[figure_id]:
+        summary = cli._scn(**keys).summary()
+        for command, _ in outputs:
+            comment = summary + cli.TABLES[command][2]
+            text = oracles._scenario_text(comment, oracles._SCENARIO_KEYS)
+            assert scenario.parse_scenario(text).summary() == summary

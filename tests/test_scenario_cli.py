@@ -55,6 +55,21 @@ def test_parse_validates_values():
         sc.parse_scenario(BASE.replace("state = epr", "state = ghz"))
     with pytest.raises(ScenarioError):
         sc.parse_scenario(BASE + "points = 7\n")
+    # Each value is checked by the object that uses it, at parse time.
+    coherent = BASE.replace("state = epr", "state = coherent")
+    for bad in (BASE + "nbar = -1\n",
+                coherent + "nbar_prime = -1\n",
+                BASE + "extent = -2\n",
+                BASE.replace("state = epr", "state = epr\na = 2"),
+                # An 8-point volume grid has no coarser twin to gate against.
+                BASE + "points = 8\n",
+                BASE + "elements = paper\n",
+                # Not keys: omega0 only sets the time unit, and the printed
+                # rho13 term is an erratum.
+                BASE.replace("model = markovian", "model = ohmic\nomega0 = 1"),
+                BASE + "rho13_strict = true\n"):
+        with pytest.raises(ScenarioError):
+            sc.parse_scenario(bad)
     # Non-finite floats pass comparison-based range checks; parsing rejects them.
     for old, bad in (("state = epr", "state = epr\na = nan\nd = nan"),
                      ("gamma_m = 1.0", "gamma_m = nan"),
@@ -112,6 +127,18 @@ def test_cli_overflow_exit_3(tmp_path):
     text = text.replace("t_max = 1.0", "t_max = 200")
     path = _write(tmp_path, text)
     assert cli.main(["evolve", "--scenario", path, "--out", str(tmp_path)]) == 3
+
+
+def test_cli_volume_eight_points_exit_2(tmp_path):
+    path = _write(tmp_path, BASE + "points = 8\n")
+    assert cli.main(["volume", "--scenario", path, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "volume.csv").exists()
+
+
+def test_cli_paper_elements_rejected(tmp_path):
+    path = _write(tmp_path, BASE + "elements = paper\n")
+    for command in ("wigner", "volume"):
+        assert cli.main([command, "--scenario", path, "--out", str(tmp_path)]) == 2
 
 
 def test_cli_quadrature_exit_4(tmp_path):
@@ -247,24 +274,19 @@ def test_cli_unwritable_out_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.count("configuration error:") == 2
 
 
-def test_cli_mode_flags_override_scenario(tmp_path):
+def test_cli_scenario_file_sets_modes(tmp_path):
     path = _write(tmp_path, BASE)
-    code = cli.main(["teleport", "--scenario", path, "--out", str(tmp_path),
-                     "--index-order", "symmetric"])
-    assert code == 0
-    # The header records the resolved values, not the scenario file's.
-    path = _write(tmp_path, BASE + "closure = leaky\nindex_order = printed\n")
-    out = tmp_path / "override"
-    code = cli.main(["teleport", "--scenario", path, "--out", str(out),
-                     "--mode", "paper", "--index-order", "symmetric",
-                     "--elements", "paper"])
-    assert code == 0
+    for flag, value in (("--mode", "paper"), ("--elements", "oracle"),
+                        ("--index-order", "symmetric")):
+        assert cli.main(["teleport", "--scenario", path, "--out", str(tmp_path),
+                         flag, value]) == 2
+    path = _write(tmp_path, BASE + "closure = paper\nindex_order = symmetric\n")
+    out = tmp_path / "modes"
+    assert cli.main(["teleport", "--scenario", path, "--out", str(out)]) == 0
     header = (out / "teleport.csv").read_text().splitlines()[0].split()
     assert "closure=paper" in header
     assert "index_order=symmetric" in header
-    assert "elements=paper" in header
-    assert "closure=leaky" not in header
-    assert "index_order=printed" not in header
+    assert "elements=oracle" in header
 
 
 def test_cli_import_defers_scipy_optimize():

@@ -22,6 +22,15 @@ def test_input_state_construction():
 def test_input_state_flags_non_physical_parameters():
     assert tp.input_state(0.99, 0.97).non_physical
     assert not tp.input_state(0.1, 0.5).non_physical
+    # The closed-form flag against the smallest eigenvalue, on both sides of
+    # the boundary p^2 + q^2/4 = 1/4 and on it (p = 0.3, q = 0.8).
+    for theta in np.linspace(0.0, 0.5 * math.pi, 201):
+        for radius in (0.5 - 1e-9, 0.5, 0.5 + 1e-9, 0.7):
+            p, q = radius * math.cos(theta), 2.0 * radius * math.sin(theta)
+            if p <= 1.0 and q > 0.0:
+                inp = tp.input_state(p, q)
+                assert inp.non_physical == (np.linalg.eigvalsh(inp.matrix)[0] < -1e-12)
+    assert not tp.input_state(0.3, 0.8).non_physical
 
 
 def test_input_state_domain_errors():

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from twocav import cli, scenario, states, wigner as wg
+from twocav import cli, errata, scenario, states, wigner as wg
 from twocav.errors import DomainError, QuadratureConvergenceError
 from twocav.states import FockWindow
 
@@ -34,9 +34,9 @@ def test_laguerre_values():
 
 
 def test_displaced_parity_paper_origin_values():
-    assert wg.displaced_parity_paper(0, 0, 0.0) == pytest.approx(1.0)
-    assert wg.displaced_parity_paper(1, 1, 0.0) == pytest.approx(-1.0)
-    assert wg.displaced_parity_paper(0, 1, 0.0) == 0.0
+    assert errata.displaced_parity_printed(0, 0, 0.0) == pytest.approx(1.0)
+    assert errata.displaced_parity_printed(1, 1, 0.0) == pytest.approx(-1.0)
+    assert errata.displaced_parity_printed(0, 1, 0.0) == 0.0
 
 
 def test_displaced_parity_oracle_origin_and_convergence():
@@ -64,7 +64,7 @@ def test_displaced_parity_oracle_cutoff_guard():
 def test_paper_elements_flagged_off_origin():
     # The printed closed form disagrees with the oracle away from alpha=0.
     alpha = 1.0
-    paper = wg.displaced_parity_paper(0, 0, alpha)
+    paper = errata.displaced_parity_printed(0, 0, alpha)
     oracle = wg.displaced_parity_oracle(0, 0, alpha)
     assert abs(paper - oracle) > 0.1
 
@@ -90,32 +90,24 @@ def test_closed_form_tables_match_parity_table(window):
     pts = (re + 1j * im).ravel()
     amax = float(np.max(np.abs(pts)))
     for index in sorted({window.n1, window.m1}):
-        table = wg._k_tables(pts, index, wg.ORACLE)
+        table = wg._k_tables(pts, index)
         oracle = wg.parity_table(pts, index, wg.suggested_cutoff(index + 1, amax))
         assert np.max(np.abs(table - oracle)) <= 1e-10
 
 
-@pytest.mark.parametrize("source", [wg.ORACLE, wg.PAPER])
-def test_wigner_joint_matches_field_at_grid_points(source):
+def test_wigner_joint_matches_field_at_grid_points():
     rng = np.random.default_rng(5)
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
     window = FockWindow(1, 2)
     grid = wg.PhaseSpaceGrid(extent=3.0, points_per_axis=8)
-    field = wg.wigner_field(rho, grid, window, source)
+    field = wg.wigner_field(rho, grid, window)
     ax = grid.axis()
     for i, j, k, l in ((0, 0, 0, 0), (1, 6, 3, 2), (4, 3, 7, 5), (7, 7, 0, 4)):
         joint = wg.wigner_joint(rho, ax[i] + 1j * ax[j], ax[k] + 1j * ax[l],
-                                window, source)
+                                window)
         assert joint == pytest.approx(field.values[i, j, k, l], abs=1e-14)
-
-
-def test_unknown_element_source_is_rejected():
-    with pytest.raises(DomainError):
-        wg.wigner_joint(VACUUM, 0.0, 0.0, W0, element_source="eigh")
-    with pytest.raises(DomainError):
-        wg.wigner_field(VACUUM, wg.PhaseSpaceGrid(4.0, 8), W0, element_source="eigh")
 
 
 def test_wigner_origin_parities():
