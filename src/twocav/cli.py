@@ -100,17 +100,17 @@ TELEPORT_COLUMNS = [
 
 
 def _teleport_table(scn, traj):
-    inp = teleport.input_state(scn.p, scn.q)
+    inp = teleport.input_state(scn.p, scn.q, scn.index_order)
     closed = teleport.closed_form_epr if scn.state == "epr" else teleport.closed_form_noon
     rows = []
     for t, rho in zip(traj.times, traj.states):
-        res = teleport.teleport_general(rho, inp, index_order=scn.index_order)
+        res = teleport.teleport_general(rho, inp)
         c1, c2, c3 = closed(rho, scn.p, scn.q)
         rep = teleport.teleported_measures(res)
         rows.append([
             t, res.fidelity, teleport.closed_form_fidelity(c1, c2, scn.q),
             rep.concurrence, rep.log_negativity, rep.discord,
-            c1, c2, c3, res.fidelity > 2.0 / 3.0, res.non_physical_input,
+            c1, c2, c3, res.fidelity > 2.0 / 3.0, inp.non_physical,
         ])
     return TELEPORT_COLUMNS, rows
 

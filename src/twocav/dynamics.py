@@ -182,15 +182,18 @@ def accumulated_theta(model, t):
     raise TypeError("unknown damping model %r" % (model,))
 
 
-def _rhs(rho, params):
-    """Right-hand side of the 16-equation window system at unit rate.
+_LOWER = np.tril_indices(4, -1)
 
-    Follows the printed cascade except that rho14/rho41 decays at rate
+
+def _upper(rho, params):
+    """Diagonal and upper triangle of the window system at unit rate.
+
+    Follows the printed cascade except that rho14 decays at rate
     theta*(n1+m1+2) (the printed index product is inconsistent with the
-    vacuum closed forms), and the extra theta/2 term of rho13/rho31 takes
-    the same nbar factor as its rho12/rho21 mirror (the printed form
-    without it is `errata.rho13_strict_printed`).  Paper closure replaces
-    the rho44 row by the trace-closure constraint.
+    vacuum closed forms), and the extra theta/2 term of rho13 takes the same
+    nbar factor as its rho12 mirror (the printed form without it is
+    `errata.rho13_strict_printed`).  Paper closure replaces the rho44 row by
+    the trace-closure constraint.  The lower triangle is left unset.
     """
     n1, m1 = params.window.n1, params.window.m1
     nb = params.nbar
@@ -213,10 +216,6 @@ def _rhs(rho, params):
         -(n1 + m1 + 2) * r[0, 3]
         - 0.5 * nb * (n1 + m1 + 2) * r[0, 3]
     )
-    d[1, 0] = (
-        -0.5 * (nb + 1.0) * ((2 * n1 + 2 * m1 + 1) * r[1, 0] - 2 * (n1 + 1) * r[3, 2])
-        - 0.5 * nb * (2 * n1 + m1 + 3) * r[1, 0]
-    )
     d[1, 1] = (
         -(nb + 1.0) * ((n1 + m1 + 1) * r[1, 1] - (n1 + 1) * r[3, 3])
         - nb * ((n1 + 1) * r[1, 1] - (m1 + 1) * r[0, 0])
@@ -229,14 +228,6 @@ def _rhs(rho, params):
         -0.5 * (nb + 1.0) * (2 * n1 + 2 * m1 + 3) * r[1, 3]
         - 0.5 * nb * ((n1 + 1) * r[1, 3] - 2 * (m1 + 1) * r[0, 2])
     )
-    d[2, 0] = (
-        -0.5 * (nb + 1.0) * ((2 * n1 + 2 * m1 + 1) * r[2, 0] - 2 * (n1 + 1) * r[3, 1])
-        - 0.5 * nb * (2 * n1 + m1 + 3) * r[2, 0]
-    )
-    d[2, 1] = (
-        -(nb + 1.0) * (n1 + m1 + 1) * r[2, 1]
-        - 0.5 * nb * (n1 + m1 + 2) * r[2, 1]
-    )
     d[2, 2] = (
         -(nb + 1.0) * ((n1 + m1 + 1) * r[2, 2] - (m1 + 1) * r[3, 3])
         - nb * ((m1 + 1) * r[2, 2] - (n1 + 1) * r[0, 0])
@@ -245,18 +236,6 @@ def _rhs(rho, params):
         -0.5 * (nb + 1.0) * (2 * n1 + 2 * m1 + 3) * r[2, 3]
         - 0.5 * nb * ((m1 + 1) * r[2, 3] - 2 * (n1 + 1) * r[0, 1])
     )
-    d[3, 0] = (
-        -(n1 + m1 + 2) * r[3, 0]
-        - 0.5 * nb * (n1 + m1 + 2) * r[3, 0]
-    )
-    d[3, 1] = (
-        -0.5 * (nb + 1.0) * (2 * n1 + 2 * m1 + 3) * r[3, 1]
-        - 0.5 * nb * ((n1 + 1) * r[3, 1] - 2 * (m1 + 1) * r[2, 0])
-    )
-    d[3, 2] = (
-        -0.5 * (nb + 1.0) * (2 * n1 + 2 * m1 + 3) * r[3, 2]
-        - 0.5 * nb * ((m1 + 1) * r[3, 2] - 2 * (n1 + 1) * r[1, 0])
-    )
     if params.closure_mode == PAPER_CLOSURE:
         d[3, 3] = -(d[0, 0] + d[1, 1] + d[2, 2])
     else:
@@ -264,6 +243,15 @@ def _rhs(rho, params):
             -(nb + 1.0) * (n1 + m1 + 2) * r[3, 3]
             + nb * ((n1 + 1) * r[1, 1] + (m1 + 1) * r[2, 2])
         )
+    return d
+
+
+def _rhs(rho, params):
+    """Right-hand side of the 16-equation window system at unit rate."""
+    d = _upper(rho, params)
+    # The coefficients are real, so d[j, i](rho) = d[i, j](rho^T).  Assigned,
+    # not added, so that signed zeros survive.
+    d[_LOWER] = _upper(rho.T, params).T[_LOWER]
     return d
 
 

@@ -41,7 +41,7 @@ class Scenario:
     state_params: dict = field(default_factory=dict)
     p: float = 0.0
     q: float = 1.0
-    index_order: str = "printed"
+    index_order: str = teleport.PRINTED
     extent: Optional[float] = None
     points: int = 32
     elements: str = "oracle"
@@ -154,10 +154,6 @@ def parse_scenario(text):
     if steps < 2:
         raise ScenarioError("steps must be at least 2")
 
-    index_order = _get(table, "index_order", str, default="printed").lower()
-    if index_order not in ("printed", "symmetric"):
-        raise ScenarioError("index_order must be printed or symmetric")
-
     # The key stays in every CSV header; its one value names the Laguerre
     # closed form of the displaced-parity elements.
     elements = _get(table, "elements", str, default="oracle").lower()
@@ -183,7 +179,8 @@ def parse_scenario(text):
             state_params=state_params,
             p=_get(table, "p", float, default=0.0),
             q=_get(table, "q", float, default=1.0),
-            index_order=index_order,
+            index_order=_get(table, "index_order", str,
+                             default=teleport.PRINTED).lower(),
             extent=_get(table, "extent", float, default=None),
             points=points,
             elements=elements,
@@ -193,7 +190,7 @@ def parse_scenario(text):
         scn.params()
         scn.initial_state()
         scn.grid()
-        teleport.input_state(scn.p, scn.q)
+        teleport.input_state(scn.p, scn.q, scn.index_order)
     except DomainError as exc:
         raise ScenarioError(str(exc)) from exc
     return scn

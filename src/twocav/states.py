@@ -70,7 +70,8 @@ def coherent_amplitudes_paper(nbar_prime, window=FockWindow()):
     printed index product (0**0 := 1).  The result is renormalized; the raw
     values are kept on the Amplitudes.  This variant disagrees with
     projection_amplitudes away from n' = 1 -- compare with
-    amplitude_disagreement before trusting it on shifted windows.
+    amplitude_disagreement before trusting it on shifted windows.  Raises
+    DomainError where an amplitude overflows double precision.
     """
     if nbar_prime < 0:
         raise DomainError("mean photon number must be non-negative")
@@ -82,15 +83,23 @@ def coherent_amplitudes_paper(nbar_prime, window=FockWindow()):
         m1 * (n1 + 1),
         (m1 + 1) * (n1 + 1),
     )
-    factorials = (
-        math.factorial(n1 * m1),
-        math.factorial(n1 * (m1 + 1)),
-        math.factorial(m1 * (n1 + 1)),
-        math.factorial((m1 + 1) * (n1 + 1)),
-    )
-    raw = tuple(
-        pre * math.sqrt(nbar_prime**e / f) for e, f in zip(exponents, factorials)
-    )
+    try:
+        # 171! exceeds the float range, so larger windows overflow whatever
+        # n' is; checked before the factorials get expensive to compute.
+        if (m1 + 1) * (n1 + 1) > 170:
+            raise OverflowError
+        factorials = (
+            math.factorial(n1 * m1),
+            math.factorial(n1 * (m1 + 1)),
+            math.factorial(m1 * (n1 + 1)),
+            math.factorial((m1 + 1) * (n1 + 1)),
+        )
+        raw = tuple(
+            pre * math.sqrt(nbar_prime**e / f) for e, f in zip(exponents, factorials)
+        )
+    except OverflowError:
+        raise DomainError("coherent amplitudes overflow at n' = %g on window "
+                          "(%d, %d)" % (nbar_prime, n1, m1)) from None
     return _normalize(raw)
 
 

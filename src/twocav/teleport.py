@@ -3,11 +3,10 @@
 The channel map weights Pauli corrections by products of Bell-projector
 overlaps with the channel state.  Two index orderings of the right-hand
 Pauli factor are implemented; 'printed' is the default, chosen because it
-reproduces the closed-form output blocks exactly.  The Pauli products are
-module constants and each input state builds its 16 correction terms per
-ordering once, so only the Bell weights change from one channel state to
-the next.  Closed-form fast paths cover the two X-structured channel
-families.
+reproduces the closed-form output blocks exactly.  An input state carries
+its index order: it builds the 16 correction terms of that order once, so
+only the Bell weights change from one channel state to the next.
+Closed-form fast paths cover the two X-structured channel families.
 """
 
 import math
@@ -40,32 +39,29 @@ BELL_PROJECTORS = (
     _bell([0.0, 1.0, 1.0, 0.0]),    # E^z = |psi+>
 )
 
-# sigma_a x sigma_b at index 4a + b.
-_KRON = tuple(np.kron(_PAULI[a], _PAULI[b]) for a in range(4) for b in range(4))
-# (left, right) Pauli products for each index order, in (a, b) row-major
-# order: left = sigma_a x sigma_b, right = sigma_b x sigma_a ('printed') or
-# left ('symmetric').
-_PAULI_PAIRS = {
-    PRINTED: tuple((_KRON[4 * a + b], _KRON[4 * b + a])
-                   for a in range(4) for b in range(4)),
-    SYMMETRIC: tuple((k, k) for k in _KRON),
-}
+# sigma_a x sigma_b at index 4a + b, and sigma_b x sigma_a at the same index.
+_KRON = np.array([np.kron(_PAULI[a], _PAULI[b]) for a in range(4) for b in range(4)])
+_KRON_SWAPPED = _KRON[[4 * b + a for a in range(4) for b in range(4)]]
 
 
 @dataclass(frozen=True)
 class InputState:
     p: float
     q: float
+    index_order: str = PRINTED
     matrix: np.ndarray = field(init=False)
     non_physical: bool = field(init=False)
-    # Index order -> the 16 terms left @ matrix @ right, (a, b) row-major.
-    corrections: dict = field(init=False, repr=False)
+    # The 16 terms (sigma_a x sigma_b) @ matrix @ R_ab, (a, b) row-major, with
+    # R_ab = sigma_b x sigma_a ('printed') or sigma_a x sigma_b ('symmetric').
+    corrections: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise DomainError("p must lie in [0, 1]")
         if not self.q > 0.0:
             raise DomainError("q must be positive")
+        if self.index_order not in (PRINTED, SYMMETRIC):
+            raise DomainError("index_order must be 'printed' or 'symmetric'")
         m = np.zeros((4, 4), dtype=complex)
         m[0, 0] = (1.0 - 2.0 * self.p) / 2.0
         m[3, 3] = (1.0 + 2.0 * self.p) / 2.0
@@ -76,14 +72,15 @@ class InputState:
         # form keeps LAPACK out of scenario parsing, which builds every input.
         object.__setattr__(self, "non_physical",
                            math.hypot(self.p, 0.5 * self.q) - 0.5 > 1e-12)
-        object.__setattr__(self, "corrections", {
-            order: tuple(left @ m @ right for left, right in pairs)
-            for order, pairs in _PAULI_PAIRS.items()
-        })
+        # Each Pauli product has one nonzero entry (+-1 or +-i) per row, so
+        # every entry of a term is exact and the stacked product matches the
+        # 16 separate ones bit for bit.
+        right = _KRON_SWAPPED if self.index_order == PRINTED else _KRON
+        object.__setattr__(self, "corrections", tuple(_KRON @ m @ right))
 
 
-def input_state(p, q):
-    return InputState(p=p, q=q)
+def input_state(p, q, index_order=PRINTED):
+    return InputState(p=p, q=q, index_order=index_order)
 
 
 @dataclass
@@ -91,7 +88,6 @@ class TeleportResult:
     rho_out: np.ndarray
     fidelity: float
     probabilities: np.ndarray  # P_{alpha beta}, shape (4, 4)
-    non_physical_input: bool
 
 
 def bell_weights(channel):
@@ -100,28 +96,22 @@ def bell_weights(channel):
     return np.array([float(np.real(np.trace(e @ rho))) for e in BELL_PROJECTORS])
 
 
-def teleport_general(channel, inp, index_order=PRINTED):
+def teleport_general(channel, inp):
     """Teleport an input state through an arbitrary channel state.
 
     rho_out = sum_{ab} P_ab (sigma_a x sigma_b) rho_in (R_ab) with
     R_ab = sigma_b x sigma_a ('printed') or sigma_a x sigma_b
-    ('symmetric'); P_ab is the product of Bell overlaps.
+    ('symmetric', as inp.index_order says); P_ab is the product of Bell
+    overlaps.
     """
-    if index_order not in (PRINTED, SYMMETRIC):
-        raise DomainError("index_order must be 'printed' or 'symmetric'")
     w = bell_weights(channel)
     probs = np.outer(w, w)
     rho_in = inp.matrix
     out = np.zeros((4, 4), dtype=complex)
-    for weight, term in zip(probs.flat, inp.corrections[index_order]):
+    for weight, term in zip(probs.flat, inp.corrections):
         out += weight * term
     fid = float(np.real(np.trace(rho_in @ out)))
-    return TeleportResult(
-        rho_out=out,
-        fidelity=fid,
-        probabilities=probs,
-        non_physical_input=inp.non_physical,
-    )
+    return TeleportResult(rho_out=out, fidelity=fid, probabilities=probs)
 
 
 def _require_pattern(channel, zero_positions):

@@ -235,6 +235,15 @@ def test_overflow_surfaces_during_integration():
             )
 
 
+def test_non_finite_state_raises_integration_error_at_its_time():
+    # Theta(1) = 1e308 overflows the generator's entries; the first grid
+    # time with a non-finite state is reported, whatever the propagator.
+    with pytest.raises(IntegrationError) as info:
+        dynamics.evolve(bell_epr(), dynamics.EvolutionParams(),
+                        dynamics.Markovian(gamma_m=1e308), [0.0, 1.0, 2.0])
+    assert info.value.time == 1.0
+
+
 # Each rate model with a horizon short of the Ohmic re-amplification.
 ORACLE_MODELS = (
     (dynamics.Markovian(1.0), 3.0),

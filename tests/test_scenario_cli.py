@@ -46,6 +46,14 @@ def test_parse_requires_schema_and_core_keys():
         sc.parse_scenario(BASE.replace("schema = 1", "schema = 9"))
 
 
+# Coherent amplitudes that overflow double precision: 182! and 1e30**16.
+COHERENT_OVERFLOWS = tuple(
+    BASE.replace("state = epr", "state = coherent\nnbar_prime = %s" % nbar_prime)
+    .replace("m1 = 0", "n1 = %d\nm1 = %d" % window)
+    for nbar_prime, window in (("1.5", (12, 13)), ("1e30", (3, 3)))
+)
+
+
 def test_parse_validates_values():
     with pytest.raises(ScenarioError):
         sc.parse_scenario(BASE.replace("steps = 10", "steps = 1"))
@@ -67,7 +75,9 @@ def test_parse_validates_values():
                 # Not keys: omega0 only sets the time unit, and the printed
                 # rho13 term is an erratum.
                 BASE.replace("model = markovian", "model = ohmic\nomega0 = 1"),
-                BASE + "rho13_strict = true\n"):
+                BASE + "rho13_strict = true\n",
+                BASE + "index_order = sideways\n",
+                *COHERENT_OVERFLOWS):
         with pytest.raises(ScenarioError):
             sc.parse_scenario(bad)
     # Non-finite floats pass comparison-based range checks; parsing rejects them.
@@ -120,6 +130,11 @@ def test_cli_bad_scenario_exit_2(tmp_path):
     assert cli.main(["evolve", "--scenario", path, "--out", str(tmp_path)]) == 2
     assert cli.main(["evolve", "--scenario", str(tmp_path / "nope.txt"),
                      "--out", str(tmp_path)]) == 2
+    for text in (BASE + "index_order = sideways\n",) + COHERENT_OVERFLOWS:
+        path = _write(tmp_path, text)
+        for command in ("evolve", "teleport"):
+            assert cli.main([command, "--scenario", path,
+                             "--out", str(tmp_path)]) == 2
 
 
 def test_cli_overflow_exit_3(tmp_path):
@@ -127,6 +142,12 @@ def test_cli_overflow_exit_3(tmp_path):
     text = text.replace("t_max = 1.0", "t_max = 200")
     path = _write(tmp_path, text)
     assert cli.main(["evolve", "--scenario", path, "--out", str(tmp_path)]) == 3
+    # Theta(1) = 1e308: the state turns non-finite at t = 1 (IntegrationError).
+    text = BASE.replace("gamma_m = 1.0", "gamma_m = 1e308")
+    path = _write(tmp_path, text.replace("t_max = 1.0\nsteps = 10",
+                                         "t_max = 2\nsteps = 3"))
+    assert cli.main(["evolve", "--scenario", path, "--out", str(tmp_path)]) == 3
+    assert not (tmp_path / "trajectory.csv").exists()
 
 
 def test_cli_volume_eight_points_exit_2(tmp_path):

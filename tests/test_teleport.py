@@ -65,9 +65,9 @@ def test_bell_projectors_are_complete_and_orthogonal():
 
 def test_perfect_channel_bell_input():
     channel = tp._bell([1.0, 0.0, 0.0, 1.0])
-    inp = tp.input_state(0.0, 1.0)
     for order in (tp.PRINTED, tp.SYMMETRIC):
-        res = tp.teleport_general(channel, inp, index_order=order)
+        inp = tp.input_state(0.0, 1.0, order)
+        res = tp.teleport_general(channel, inp)
         assert res.fidelity == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(res.rho_out, inp.matrix, atol=1e-12)
 
@@ -88,7 +88,8 @@ def test_depolarized_channel():
     # the symmetric order reproduces I/4 itself.
     swap = np.eye(4)[[0, 2, 1, 3]]
     assert np.allclose(res.rho_out, swap / 4.0, atol=1e-12)
-    res = tp.teleport_general(np.eye(4) / 4.0, inp, index_order="symmetric")
+    inp = tp.input_state(0.0, 1.0, "symmetric")
+    res = tp.teleport_general(np.eye(4) / 4.0, inp)
     assert np.allclose(res.rho_out, np.eye(4) / 4.0, atol=1e-12)
 
 
@@ -188,8 +189,7 @@ def test_teleported_measures_reject_degenerate_outputs():
 
 def test_index_order_validation():
     with pytest.raises(DomainError):
-        tp.teleport_general(np.eye(4) / 4.0, tp.input_state(0.0, 1.0),
-                            index_order="sideways")
+        tp.input_state(0.0, 1.0, "sideways")
 
 
 def _teleport_reference(channel, inp, index_order):
@@ -217,10 +217,10 @@ def test_precomputed_terms_match_kron_reference_exactly():
     channels.append(states.build_epr(0.6, 0.8))
     channels.append(np.eye(4) / 4.0)
     for p, q in ((0.0, 1.0), (0.3, 0.4), (0.99, 0.97), (0.99, 0.99)):
-        inp = tp.input_state(p, q)
         for order in (tp.PRINTED, tp.SYMMETRIC):
+            inp = tp.input_state(p, q, order)
             for channel in channels:
-                res = tp.teleport_general(channel, inp, index_order=order)
+                res = tp.teleport_general(channel, inp)
                 out, fid = _teleport_reference(channel, inp, order)
                 assert np.array_equal(res.rho_out, out)
                 assert res.fidelity == fid
