@@ -36,6 +36,8 @@ EXIT_QUADRATURE = 4
 
 
 def _fmt(x):
+    if type(x) is float:  # the common case, first
+        return "%.17g" % x
     if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
@@ -48,7 +50,7 @@ def write_csv(path, comment, header, rows):
         fh.write("# %s\n" % comment)
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
 
 def _trajectory_table(scn, traj):
@@ -58,13 +60,16 @@ def _trajectory_table(scn, traj):
 CORRELATION_COLUMNS = ["t", "negativity", "log_negativity", "concurrence", "discord"]
 
 
+def _columns(*cols):
+    """Rows of a table given column by column."""
+    return [list(row) for row in zip(*(np.asarray(c).tolist() for c in cols))]
+
+
 def _correlations_table(scn, traj):
-    rows = []
-    for t, rho in zip(traj.times, traj.states):
-        rep = correlations.correlation_report(rho)
-        rows.append([t, rep.negativity, rep.log_negativity, rep.concurrence,
-                     rep.discord])
-    return CORRELATION_COLUMNS, rows
+    rep = correlations.correlation_report(traj.states)
+    return CORRELATION_COLUMNS, _columns(
+        traj.times, rep.negativity, rep.log_negativity, rep.concurrence,
+        rep.discord)
 
 
 def _wigner_table(scn, traj):
@@ -82,7 +87,8 @@ def _volume_table(scn, traj):
     rows = []
     for t, rho in zip(traj.times, traj.states):
         v, v_half = wigner.volume_pair(rho, grid, scn.window)
-        if abs(v - v_half) > VOLUME_GATE:
+        # Written so that a NaN volume fails the gate too.
+        if not abs(v - v_half) <= VOLUME_GATE:
             raise QuadratureConvergenceError(
                 "volume quadrature not converged at t = %g: %g vs %g"
                 % (t, v, v_half),
@@ -102,17 +108,13 @@ TELEPORT_COLUMNS = [
 def _teleport_table(scn, traj):
     inp = teleport.input_state(scn.p, scn.q, scn.index_order)
     closed = teleport.closed_form_epr if scn.state == "epr" else teleport.closed_form_noon
-    rows = []
-    for t, rho in zip(traj.times, traj.states):
-        res = teleport.teleport_general(rho, inp)
-        c1, c2, c3 = closed(rho, scn.p, scn.q)
-        rep = teleport.teleported_measures(res)
-        rows.append([
-            t, res.fidelity, teleport.closed_form_fidelity(c1, c2, scn.q),
-            rep.concurrence, rep.log_negativity, rep.discord,
-            c1, c2, c3, res.fidelity > 2.0 / 3.0, inp.non_physical,
-        ])
-    return TELEPORT_COLUMNS, rows
+    res = teleport.teleport_general(traj.states, inp)
+    c1, c2, c3 = closed(traj.states, scn.p, scn.q)
+    rep = teleport.teleported_measures(res)
+    return TELEPORT_COLUMNS, _columns(
+        traj.times, res.fidelity, teleport.closed_form_fidelity(c1, c2, scn.q),
+        rep.concurrence, rep.log_negativity, rep.discord, c1, c2, c3,
+        res.fidelity > 2.0 / 3.0, [inp.non_physical] * len(traj.times))
 
 
 # Subcommand -> (table builder, default CSV name, note appended to the

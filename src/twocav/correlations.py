@@ -7,6 +7,14 @@ measurements on the second subsystem serves as the oracle and as the
 fallback of `correlation_report` for states that are not X-structured.
 Each measure has one production implementation; the printed discord
 candidate lives in `errata`.
+
+`partial_transpose_b`, `negativity`, `concurrence` and `correlation_report`
+take one (4, 4) state or a (T, 4, 4) trajectory stack; a stack gets one
+stacked LAPACK call per measure and arrays back, a single state floats.
+Each stacked value is bit-identical to the value of its state on its own.
+The discord stays a per-state scalar evaluation: its `math.log2` and
+`math.hypot` are libm's, which numpy's vectorised transcendentals do not
+reproduce bit for bit.
 """
 
 import math
@@ -20,22 +28,32 @@ _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SPIN_FLIP = np.kron(_SY, _SY)
 
 
+def _value(x):
+    """A float for the single-state case, the array for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def partial_transpose_b(rho):
-    """Partial transpose over the second qubit."""
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    return r.transpose(0, 3, 2, 1).reshape(4, 4)
+    """Partial transpose over the second qubit (of each state of a stack)."""
+    r = np.asarray(rho, dtype=complex)
+    lead = r.shape[:-2]
+    return r.reshape(lead + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(lead + (4, 4))
 
 
 def negativity(rho):
     """Sum of the magnitudes of the negative partial-transpose eigenvalues."""
     pt = partial_transpose_b(rho)
-    pt = 0.5 * (pt + pt.conj().T)
+    # (pt + pt^dagger) / 2 in place (pt is a fresh copy): fewer stack copies.
+    pt += pt.conj().swapaxes(-1, -2)
+    pt *= 0.5
     vals = np.linalg.eigvalsh(pt)
-    return float(0.5 * (np.sum(np.abs(vals)) - np.sum(vals)))
+    return _value(0.5 * (np.sum(np.abs(vals), axis=-1) - np.sum(vals, axis=-1)))
 
 
 def _log_negativity_of(neg):
-    return math.log2(1.0 + 2.0 * neg)
+    if np.ndim(neg) == 0:
+        return math.log2(1.0 + 2.0 * neg)
+    return np.array([math.log2(x) for x in (1.0 + 2.0 * neg).tolist()])
 
 
 def log_negativity(rho):
@@ -47,9 +65,10 @@ def concurrence(rho):
     rho = np.asarray(rho, dtype=complex)
     rho_tilde = _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
     vals = np.linalg.eigvals(rho @ rho_tilde)
-    lam = np.sqrt(np.clip(vals.real, 0.0, None))
-    lam.sort()
-    return float(max(0.0, lam[3] - lam[2] - lam[1] - lam[0]))
+    lam = np.sort(np.sqrt(np.clip(vals.real, 0.0, None)), axis=-1)
+    c = lam[..., 3] - lam[..., 2] - lam[..., 1] - lam[..., 0]
+    # max(0, c): a NaN or signed zero gives 0.0, as Python's max does.
+    return _value(np.where(c > 0.0, c, 0.0))
 
 
 def concurrence_x_epr(rho):
@@ -93,13 +112,15 @@ def von_neumann_entropy(rho):
     return float(-np.sum(vals * np.log2(vals)))
 
 
-def _check_x_state(rho, tol=1e-9):
-    off = np.array(rho, dtype=complex)
-    off[[0, 1, 2, 3], [0, 1, 2, 3]] = 0.0
-    off[0, 3] = off[3, 0] = 0.0
-    off[1, 2] = off[2, 1] = 0.0
-    if np.max(np.abs(off)) > tol:
-        raise DomainError("state is not X-structured")
+# The eight entries outside the diagonal and the two anti-diagonal pairs.
+_OFF_X = tuple(zip(*[(i, j) for i in range(4) for j in range(4)
+                     if i != j and i + j != 3]))
+_X_TOL = 1e-9
+
+
+def _off_x(rho):
+    """Largest |entry| outside the X pattern, per state."""
+    return np.max(np.abs(np.asarray(rho)[..., _OFF_X[0], _OFF_X[1]]), axis=-1)
 
 
 def discord_x(rho):
@@ -110,20 +131,31 @@ def discord_x(rho):
     its entropy weights; `errata.discord_second_branch_printed` exhibits
     that typo.
     """
-    _check_x_state(rho)
-    p = np.real(np.diag(rho))
-    a14, a23 = abs(rho[0, 3]), abs(rho[1, 2])
+    if _off_x(rho) > _X_TOL:
+        raise DomainError("state is not X-structured")
+    (p, c14, c23), = _x_entries(np.asarray(rho)[None])
+    return _discord_x_value(p, c14, c23)
+
+
+def _x_entries(stack):
+    """Per state of a stack: the real diagonal and rho14, rho23, as Python
+    numbers (their arithmetic is numpy's scalar arithmetic, bit for bit)."""
+    diag = np.real(np.diagonal(stack, axis1=-2, axis2=-1)).tolist()
+    return zip(diag, stack[:, 0, 3].tolist(), stack[:, 1, 2].tolist())
+
+
+def _discord_x_value(p, c14, c23):
+    """`discord_x` of an X state with diagonal p and corners c14, c23."""
+    a14, a23 = abs(c14), abs(c23)
 
     s_b = _h2(p[0] + p[2])  # marginal entropy of the measured qubit
 
     # Eigenvalues of the X state.
-    lam = np.array(
-        [
-            0.5 * ((p[0] + p[3]) + math.hypot(p[0] - p[3], 2.0 * a14)),
-            0.5 * ((p[0] + p[3]) - math.hypot(p[0] - p[3], 2.0 * a14)),
-            0.5 * ((p[1] + p[2]) + math.hypot(p[1] - p[2], 2.0 * a23)),
-            0.5 * ((p[1] + p[2]) - math.hypot(p[1] - p[2], 2.0 * a23)),
-        ]
+    lam = (
+        0.5 * ((p[0] + p[3]) + math.hypot(p[0] - p[3], 2.0 * a14)),
+        0.5 * ((p[0] + p[3]) - math.hypot(p[0] - p[3], 2.0 * a14)),
+        0.5 * ((p[1] + p[2]) + math.hypot(p[1] - p[2], 2.0 * a23)),
+        0.5 * ((p[1] + p[2]) - math.hypot(p[1] - p[2], 2.0 * a23)),
     )
     s_ab = 0.0
     for v in lam:
@@ -208,6 +240,8 @@ def discord_bruteforce(rho, grid=64):
 
 @dataclass
 class CorrelationReport:
+    """Floats for one state; arrays of length T for a (T, 4, 4) stack."""
+
     negativity: float
     log_negativity: float
     concurrence: float
@@ -215,16 +249,20 @@ class CorrelationReport:
 
 
 def correlation_report(rho):
-    """All measures of a window state; discord falls back to brute force
-    when the state is not X-structured."""
-    try:
-        d = discord_x(rho)
-    except DomainError:
-        d = discord_bruteforce(rho)
+    """All measures of a window state or of a (T, 4, 4) stack of them.
+
+    Discord falls back to brute force for each state that is not
+    X-structured; a stack gets arrays of length T.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    stack = rho.reshape(-1, 4, 4)
+    not_x = (_off_x(stack) > _X_TOL).tolist()
+    d = np.array([discord_bruteforce(r) if bad else _discord_x_value(*x)
+                  for r, bad, x in zip(stack, not_x, _x_entries(stack))])
     neg = negativity(rho)
     return CorrelationReport(
         negativity=neg,
         log_negativity=_log_negativity_of(neg),
         concurrence=concurrence(rho),
-        discord=d,
+        discord=_value(d.reshape(rho.shape[:-2])),
     )

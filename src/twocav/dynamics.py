@@ -3,7 +3,10 @@
 Every term of the 16-equation window system scales with the damping rate,
 so `evolve` applies the exact propagator rho(t) = expm(Theta(t) A) rho(0),
 with A the constant generator and Theta(t) the accumulated decoherence; the
-command line uses it for every model.  Two engines stay as test oracles: a
+command line uses it for every model.  It exponentiates the Theta(t) A
+blocks of a few grid times per `expm` call and returns the whole trajectory
+as one (T, 4, 4) stack, bit-identical to one call per grid time.  Two
+engines stay as test oracles: a
 fixed-step RK4 integration (`evolve_ode`), and a closed-form propagator for
 the vacuum-reservoir case (nbar = 0, n1 = m1) re-derived from the cascade.
 """
@@ -285,25 +288,50 @@ def _time_grid(times):
     return times
 
 
-def _output_state(vec, t):
-    """Re-symmetrized state rho -> (rho + rho^dagger)/2; raises if non-finite."""
-    if not np.all(np.isfinite(vec)):
+def _output_states(vecs, times):
+    """Re-symmetrized states rho -> (rho + rho^dagger)/2 of the (n, 16)
+    vectors at times; raises at the first time whose state is non-finite."""
+    finite = np.isfinite(vecs).all(axis=1)
+    if not finite.all():
+        t = times[int(np.argmin(finite))]
         raise IntegrationError("state became non-finite at t = %g" % t, time=float(t))
-    mat = vec.reshape(4, 4)
-    return 0.5 * (mat + mat.conj().T)
+    mats = vecs.reshape(-1, 4, 4)
+    return 0.5 * (mats + mats.conj().swapaxes(-1, -2))
+
+
+# Grid times per `expm` call.  Batching saves the per-call overhead, and a
+# short chunk keeps only a few (16, 16) blocks and their Pade work arrays
+# alive at once, so peak memory does not grow with the trajectory.
+_EXPM_CHUNK = 8
 
 
 def evolve(rho0, params, model, times):
-    """Exact propagator expm(Theta(t) A) applied to rho0 at each grid time."""
+    """Exact propagator expm(Theta(t) A) applied to rho0 at each grid time.
+
+    Failures surface in grid order: a time whose Theta overflows
+    (OverflowGuardError) or whose state is non-finite (IntegrationError)
+    is reported only if no earlier time failed.
+    """
     times = _time_grid(times)
     gen = generator_matrix(params)
     rho = np.array(rho0, dtype=complex).ravel()
     out = np.empty((len(times), 4, 4), dtype=complex)
-    for k, t in enumerate(times):
-        # Non-finite blow-ups are caught by _output_state; keep numpy quiet.
+    for start in range(0, len(times), _EXPM_CHUNK):
+        chunk = times[start:start + _EXPM_CHUNK]
+        thetas, overflow = [], None
+        # Non-finite blow-ups are caught by _output_states; keep numpy quiet.
         with np.errstate(over="ignore", invalid="ignore"):
-            vec = linalg.expm(accumulated_theta(model, t) * gen) @ rho
-        out[k] = _output_state(vec, t)
+            for t in chunk:
+                try:
+                    thetas.append(accumulated_theta(model, t))
+                except OverflowGuardError as exc:
+                    overflow = exc
+                    break
+            if thetas:
+                vecs = linalg.expm(np.multiply.outer(thetas, gen)) @ rho
+                out[start:start + len(thetas)] = _output_states(vecs, chunk)
+        if overflow is not None:
+            raise overflow
     return Trajectory(times=times.copy(), states=out)
 
 
@@ -325,7 +353,7 @@ def evolve_ode(rho0, params, model, times, substeps=100):
         t0, t1 = times[k], times[k + 1]
         h = (t1 - t0) / substeps
         t = t0
-        # Non-finite blow-ups are caught by _output_state; keep numpy quiet.
+        # Non-finite blow-ups are caught by _output_states; keep numpy quiet.
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(substeps):
                 th0 = instantaneous_rate(model, t)
@@ -337,7 +365,7 @@ def evolve_ode(rho0, params, model, times, substeps=100):
                 k4 = th2 * (gen @ (rho + h * k3))
                 rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 t += h
-        out[k + 1] = _output_state(rho, t1)
+        out[k + 1] = _output_states(rho[None], [t1])[0]
         rho = out[k + 1].ravel()
     return Trajectory(times=times.copy(), states=out)
 
@@ -409,13 +437,10 @@ TRAJECTORY_COLUMNS += ["trace", "min_eigenvalue"]
 
 def trajectory_rows(traj):
     """Row-major CSV rows (t, re/im of all 16 entries, trace, min eig)."""
-    rows = []
-    for t, rho in zip(traj.times, traj.states):
-        row = [t]
-        for i in range(4):
-            for j in range(4):
-                row += [rho[i, j].real, rho[i, j].imag]
-        herm = 0.5 * (rho + rho.conj().T)
-        row += [float(np.real(np.trace(rho))), float(np.linalg.eigvalsh(herm)[0])]
-        rows.append(row)
-    return rows
+    rho = traj.states
+    rows = np.empty((len(rho), 35))
+    rows[:, 0] = traj.times
+    rows[:, 1:33] = rho.reshape(len(rho), 16).view(float)  # re, im interleaved
+    rows[:, 33] = np.real(np.trace(rho, axis1=-2, axis2=-1))
+    rows[:, 34] = np.linalg.eigvalsh(0.5 * (rho + rho.conj().swapaxes(-1, -2)))[:, 0]
+    return rows.tolist()

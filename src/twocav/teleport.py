@@ -7,6 +7,9 @@ reproduces the closed-form output blocks exactly.  An input state carries
 its index order: it builds the 16 correction terms of that order once, so
 only the Bell weights change from one channel state to the next.
 Closed-form fast paths cover the two X-structured channel families.
+The channel may be one (4, 4) state or a (T, 4, 4) trajectory stack; a
+stack is teleported in one pass and gets arrays back, each value
+bit-identical to that of its state on its own.
 """
 
 import math
@@ -15,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import correlations
+from .correlations import _value
 from .errors import DomainError, PatternError
 
 PRINTED = "printed"
@@ -83,42 +87,51 @@ def input_state(p, q, index_order=PRINTED):
     return InputState(p=p, q=q, index_order=index_order)
 
 
+def _trace(m):
+    return np.trace(m, axis1=-2, axis2=-1)
+
+
 @dataclass
 class TeleportResult:
-    rho_out: np.ndarray
-    fidelity: float
-    probabilities: np.ndarray  # P_{alpha beta}, shape (4, 4)
+    rho_out: np.ndarray  # (4, 4), or (T, 4, 4) for a channel stack
+    fidelity: float  # or shape (T,)
+    probabilities: np.ndarray  # P_{alpha beta}, shape (4, 4) or (T, 4, 4)
 
 
 def bell_weights(channel):
-    """Overlaps Tr[E^alpha rho_ch] in Pauli order (0, x, y, z)."""
+    """Overlaps Tr[E^alpha rho_ch] in Pauli order (0, x, y, z); a stack of
+    channels gets one row per channel."""
     rho = np.asarray(channel, dtype=complex)
-    return np.array([float(np.real(np.trace(e @ rho))) for e in BELL_PROJECTORS])
+    return np.stack([np.real(_trace(e @ rho)) for e in BELL_PROJECTORS], axis=-1)
 
 
 def teleport_general(channel, inp):
-    """Teleport an input state through an arbitrary channel state.
+    """Teleport an input state through a channel state or a stack of them.
 
     rho_out = sum_{ab} P_ab (sigma_a x sigma_b) rho_in (R_ab) with
     R_ab = sigma_b x sigma_a ('printed') or sigma_a x sigma_b
     ('symmetric', as inp.index_order says); P_ab is the product of Bell
-    overlaps.
+    overlaps.  The 16 terms are added in (a, b) row-major order.
     """
     w = bell_weights(channel)
-    probs = np.outer(w, w)
-    rho_in = inp.matrix
-    out = np.zeros((4, 4), dtype=complex)
-    for weight, term in zip(probs.flat, inp.corrections):
-        out += weight * term
-    fid = float(np.real(np.trace(rho_in @ out)))
-    return TeleportResult(rho_out=out, fidelity=fid, probabilities=probs)
+    probs = w[..., :, None] * w[..., None, :]
+    out = np.zeros(probs.shape, dtype=complex)
+    for k, term in enumerate(inp.corrections):
+        out += probs[..., k // 4, k % 4, None, None] * term
+    fid = np.real(_trace(inp.matrix @ out))
+    return TeleportResult(rho_out=out, fidelity=_value(fid), probabilities=probs)
 
 
 def _require_pattern(channel, zero_positions):
+    """The channel (each channel of a stack) as an array; names the first
+    nonzero entry of the first channel that breaks the pattern."""
     rho = np.asarray(channel, dtype=complex)
-    for i, j in zero_positions:
-        if abs(rho[i, j]) > 1e-10:
-            raise PatternError("channel entry (%d, %d) must vanish" % (i + 1, j + 1))
+    rows, cols = zip(*zero_positions)
+    bad = (np.abs(rho[..., rows, cols]) > 1e-10).reshape(-1, len(zero_positions))
+    hit = bad.any(axis=1)
+    if hit.any():
+        i, j = zero_positions[int(np.argmax(bad[np.argmax(hit)]))]
+        raise PatternError("channel entry (%d, %d) must vanish" % (i + 1, j + 1))
     return rho
 
 _EPR_ZEROS = [(i, j) for i in range(4) for j in range(4)
@@ -127,26 +140,32 @@ _NOON_ZEROS = [(i, j) for i in range(4) for j in range(4)
                if i != j and (i, j) not in ((1, 2), (2, 1))]
 
 
+def _square(x):
+    """x ** 2 as Python's float power computes it: libm pow, which is not
+    always the correctly rounded x * x that numpy's `x ** 2` gives."""
+    return np.float_power(x, 2.0)
+
+
 def closed_form_epr(channel, p, q):
     """Output-state coefficients (k1, k2, k3) for an anti-diagonal X channel."""
     rho = _require_pattern(channel, _EPR_ZEROS)
-    s = float(np.real(rho[1, 1] + rho[2, 2]))
-    v = float(np.real(rho[0, 0] + rho[3, 3]))
-    k1 = 0.5 * (1.0 - 2.0 * p) * s**2 + 0.5 * (1.0 + 2.0 * p) * v**2
-    k2 = 2.0 * q * float(np.real(rho[0, 3])) ** 2
+    s = np.real(rho[..., 1, 1] + rho[..., 2, 2])
+    v = np.real(rho[..., 0, 0] + rho[..., 3, 3])
+    k1 = 0.5 * (1.0 - 2.0 * p) * _square(s) + 0.5 * (1.0 + 2.0 * p) * _square(v)
+    k2 = 2.0 * q * _square(np.real(rho[..., 0, 3]))
     k3 = v * s
-    return k1, k2, k3
+    return _value(k1), _value(k2), _value(k3)
 
 
 def closed_form_noon(channel, p, q):
     """Output-state coefficients (a1, a2, a3) for an inner-block X channel."""
     rho = _require_pattern(channel, _NOON_ZEROS)
-    s = float(np.real(rho[1, 1] + rho[2, 2]))
-    r11 = float(np.real(rho[0, 0]))
-    a1 = 0.5 * (1.0 - 2.0 * p) * s**2 + 0.5 * (1.0 + 2.0 * p) * r11**2
-    a2 = 2.0 * q * float(np.real(rho[1, 2])) ** 2
+    s = np.real(rho[..., 1, 1] + rho[..., 2, 2])
+    r11 = np.real(rho[..., 0, 0])
+    a1 = 0.5 * (1.0 - 2.0 * p) * _square(s) + 0.5 * (1.0 + 2.0 * p) * _square(r11)
+    a2 = 2.0 * q * _square(np.real(rho[..., 1, 2]))
     a3 = r11 * s
-    return a1, a2, a3
+    return _value(a1), _value(a2), _value(a3)
 
 
 def closed_form_matrix(c1, c2, c3):
@@ -163,9 +182,10 @@ def closed_form_fidelity(c1, c2, q):
 
 
 def teleported_measures(result):
-    """Correlation measures of the (renormalized) teleported state."""
+    """Correlation measures of the (renormalized) teleported state, or of
+    each state of a teleported stack."""
     rho = np.asarray(result.rho_out, dtype=complex)
-    tr = float(np.real(np.trace(rho)))
-    if not tr > 0.0:
+    tr = np.real(_trace(rho))
+    if not np.all(tr > 0.0):
         raise DomainError("teleported state has non-positive trace")
-    return correlations.correlation_report(rho / tr)
+    return correlations.correlation_report(rho / tr[..., None, None])

@@ -244,6 +244,23 @@ def test_non_finite_state_raises_integration_error_at_its_time():
     assert info.value.time == 1.0
 
 
+@pytest.mark.parametrize("times, error, time", [
+    # Both failures in one expm chunk: the non-finite state at t = 0.35
+    # comes before the Ohmic guard (r t > 700) at t = 0.71.
+    ([0.0, 0.001, 0.35, 0.71], IntegrationError, 0.35),
+    ([0.0, 0.001, 0.71, 0.72], OverflowGuardError, None),
+    # The same pair across a chunk boundary.
+    (list(np.linspace(0.0, 0.0035, dynamics._EXPM_CHUNK)) + [0.35, 0.71],
+     IntegrationError, 0.35),
+])
+def test_first_failing_time_decides_the_error(times, error, time):
+    with pytest.raises(error) as info:
+        dynamics.evolve(bell_epr(), dynamics.EvolutionParams(),
+                        dynamics.NonMarkovianOhmic(r=1000.0), times)
+    if time is not None:
+        assert info.value.time == time
+
+
 # Each rate model with a horizon short of the Ohmic re-amplification.
 ORACLE_MODELS = (
     (dynamics.Markovian(1.0), 3.0),

@@ -170,6 +170,17 @@ def test_cli_quadrature_exit_4(tmp_path):
     assert cli.main(["volume", "--scenario", path, "--out", str(tmp_path)]) == 4
 
 
+def test_cli_nan_volume_exit_4(tmp_path):
+    # The displaced-parity recurrence overflows this far up the Fock
+    # ladder, and a NaN volume must fail the gate, not reach the CSV.
+    text = BASE.replace("m1 = 0", "n1 = 200\nm1 = 0").replace("steps = 10", "steps = 2")
+    path = _write(tmp_path, text + "points = 10\n")
+    with np.errstate(invalid="ignore", over="ignore"):
+        code = cli.main(["volume", "--scenario", path, "--out", str(tmp_path)])
+    assert code == 4
+    assert not (tmp_path / "volume.csv").exists()
+
+
 def test_cli_correlations_columns(tmp_path):
     path = _write(tmp_path, BASE)
     assert cli.main(["correlations", "--scenario", path,
