@@ -35,22 +35,13 @@ EXIT_INTEGRATION = 3
 EXIT_QUADRATURE = 4
 
 
-def _fmt(x):
-    if type(x) is float:  # the common case, first
-        return "%.17g" % x
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return "%.17g" % x
-
-
 def write_csv(path, comment, header, rows):
+    # %.17g round-trips every float and writes booleans as 1 and 0.
     with open(path, "w") as fh:
         fh.write("# %s\n" % comment)
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(map(_fmt, row)) + "\n")
+            fh.write(",".join(map("%.17g".__mod__, row)) + "\n")
 
 
 def _trajectory_table(scn, traj):

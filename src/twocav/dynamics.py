@@ -1,14 +1,15 @@
 """Damping-rate models and time evolution of window density matrices.
 
 Every term of the 16-equation window system scales with the damping rate,
-so `evolve` applies the exact propagator rho(t) = expm(Theta(t) A) rho(0),
-with A the constant generator and Theta(t) the accumulated decoherence; the
-command line uses it for every model.  It exponentiates the Theta(t) A
-blocks of a few grid times per `expm` call and returns the whole trajectory
-as one (T, 4, 4) stack, bit-identical to one call per grid time.  Two
-engines stay as test oracles: a
-fixed-step RK4 integration (`evolve_ode`), and a closed-form propagator for
-the vacuum-reservoir case (nbar = 0, n1 = m1) re-derived from the cascade.
+so a damping model is fully described by its accumulated decoherence
+Theta(t); each model class owns `theta(t)` and its derivative `rate(t)`.
+`evolve` applies the exact propagator rho(t) = expm(Theta(t) A) rho(0),
+with A the constant generator; the command line uses it for every model.
+It exponentiates the Theta(t) A blocks of a few grid times per `expm` call
+and returns the whole trajectory as one (T, 4, 4) stack, bit-identical to
+one call per grid time.  Two engines stay as test oracles: a fixed-step
+RK4 integration (`evolve_ode`), and a closed-form propagator for the
+vacuum-reservoir case (nbar = 0, n1 = m1) re-derived from the cascade.
 """
 
 import math
@@ -36,12 +37,21 @@ class Markovian:
         if not self.gamma_m > 0:
             raise DomainError("gamma_m must be positive")
 
+    def theta(self, t):
+        return self.gamma_m * t
+
+    def rate(self, t):
+        return self.gamma_m
+
 
 @dataclass(frozen=True)
 class NonMarkovianOhmic:
     """Ohmic-reservoir accumulated decoherence; time axis is omega0 * t.
 
     r is the cutoff ratio omega_c / omega0; omega0 only sets the time unit.
+    Theta is evaluated exactly as printed, growing exponentials included,
+    and the rate is its term-by-term derivative; both raise instead of
+    overflowing when r*t > 700.
     """
 
     r: float = 1.0
@@ -49,6 +59,37 @@ class NonMarkovianOhmic:
     def __post_init__(self):
         if not self.r > 0:
             raise DomainError("r must be positive")
+
+    def _growth(self, t):
+        """exp(r t), guarded against overflow."""
+        if self.r * t > OVERFLOW_EXPONENT:
+            raise OverflowGuardError(
+                "exp(%g) in the Ohmic model would overflow" % (self.r * t)
+            )
+        return math.exp(self.r * t)
+
+    def theta(self, t):
+        r = self.r
+        pre = 8.0 * r**2 / (1.0 + r**2)
+        e = self._growth(t)
+        bracket = (
+            t
+            + (r - 1.0) / (1.0 + r**2) * e * math.sin(t)
+            + 2.0 * r / (1.0 + r**2) * (e * math.cos(t) - 1.0)
+        )
+        return pre * bracket
+
+    def rate(self, t):
+        r = self.r
+        pre = 8.0 * r**2 / (1.0 + r**2)
+        e = self._growth(t)
+        s, c = math.sin(t), math.cos(t)
+        bracket = (
+            1.0
+            + (r - 1.0) / (1.0 + r**2) * e * (r * s + c)
+            + 2.0 * r / (1.0 + r**2) * e * (r * c - s)
+        )
+        return pre * bracket
 
 
 @dataclass(frozen=True)
@@ -60,6 +101,13 @@ class KernelIntegral:
     def __post_init__(self):
         if not self.omega_c > 0:
             raise DomainError("omega_c must be positive")
+
+    def theta(self, t):
+        wc = self.omega_c
+        return 2.0 * wc * t + 2.0 * math.expm1(-wc * t)
+
+    def rate(self, t):
+        return 2.0 * self.omega_c * (-math.expm1(-self.omega_c * t))
 
 
 @dataclass(frozen=True)
@@ -81,62 +129,9 @@ class Trajectory:
     states: np.ndarray  # shape (len(times), 4, 4)
 
 
-def gamma_nonmarkov(t, r):
-    """Accumulated decoherence of the Ohmic model at dimensionless time t.
-
-    Evaluated exactly as printed, growing exponentials included; arguments
-    with r*t > 700 raise instead of overflowing.
-    """
-    if not t >= 0:
-        raise DomainError("time must be non-negative")
-    if not r > 0:
-        raise DomainError("cutoff ratio r must be positive")
-    if r * t > OVERFLOW_EXPONENT:
-        raise OverflowGuardError(
-            "exp(%g) in the Ohmic decoherence would overflow" % (r * t)
-        )
-    pre = 8.0 * r**2 / (1.0 + r**2)
-    e = math.exp(r * t)
-    bracket = (
-        t
-        + (r - 1.0) / (1.0 + r**2) * e * math.sin(t)
-        + 2.0 * r / (1.0 + r**2) * (e * math.cos(t) - 1.0)
-    )
-    return pre * bracket
-
-
-def gamma_nonmarkov_rate(t, r):
-    """Term-by-term derivative of gamma_nonmarkov with respect to t."""
-    if not t >= 0:
-        raise DomainError("time must be non-negative")
-    if not r > 0:
-        raise DomainError("cutoff ratio r must be positive")
-    if r * t > OVERFLOW_EXPONENT:
-        raise OverflowGuardError(
-            "exp(%g) in the Ohmic rate would overflow" % (r * t)
-        )
-    pre = 8.0 * r**2 / (1.0 + r**2)
-    e = math.exp(r * t)
-    s, c = math.sin(t), math.cos(t)
-    bracket = (
-        1.0
-        + (r - 1.0) / (1.0 + r**2) * e * (r * s + c)
-        + 2.0 * r / (1.0 + r**2) * e * (r * c - s)
-    )
-    return pre * bracket
-
-
-def gamma_kernel(t, omega_c):
-    """Kernel-integrated rate 2 wc (1 - exp(-wc t))."""
-    if not t >= 0:
-        raise DomainError("time must be non-negative")
-    if not omega_c > 0:
-        raise DomainError("omega_c must be positive")
-    return 2.0 * omega_c * (-math.expm1(-omega_c * t))
-
-
 def gamma_kernel_quadrature(t, omega_c):
-    """Numeric double quadrature of the dissipation kernel (oracle).
+    """Numeric double quadrature of the dissipation kernel, the oracle
+    for `KernelIntegral.rate`.
 
     Integrates the Ohmic spectral density against sin(w s) over w (Fourier
     quadrature on the infinite interval), then over s on [0, t].
@@ -158,31 +153,12 @@ def gamma_kernel_quadrature(t, omega_c):
     return val
 
 
-def instantaneous_rate(model, t):
-    """Rate theta(t) entering the equations of motion."""
-    if not t >= 0:
-        raise DomainError("time must be non-negative")
-    if isinstance(model, Markovian):
-        return model.gamma_m
-    if isinstance(model, NonMarkovianOhmic):
-        return gamma_nonmarkov_rate(t, model.r)
-    if isinstance(model, KernelIntegral):
-        return gamma_kernel(t, model.omega_c)
-    raise TypeError("unknown damping model %r" % (model,))
-
-
 def accumulated_theta(model, t):
-    """Accumulated decoherence Theta(t); d(Theta)/dt = instantaneous_rate."""
+    """Accumulated decoherence Theta(t) of model at a checked time t >= 0;
+    d(Theta)/dt = model.rate(t)."""
     if not t >= 0:
         raise DomainError("time must be non-negative")
-    if isinstance(model, Markovian):
-        return model.gamma_m * t
-    if isinstance(model, NonMarkovianOhmic):
-        return gamma_nonmarkov(t, model.r)
-    if isinstance(model, KernelIntegral):
-        wc = model.omega_c
-        return 2.0 * wc * t + 2.0 * math.expm1(-wc * t)
-    raise TypeError("unknown damping model %r" % (model,))
+    return model.theta(t)
 
 
 _LOWER = np.tril_indices(4, -1)
@@ -316,22 +292,20 @@ def evolve(rho0, params, model, times):
     gen = generator_matrix(params)
     rho = np.array(rho0, dtype=complex).ravel()
     out = np.empty((len(times), 4, 4), dtype=complex)
-    for start in range(0, len(times), _EXPM_CHUNK):
-        chunk = times[start:start + _EXPM_CHUNK]
-        thetas, overflow = [], None
-        # Non-finite blow-ups are caught by _output_states; keep numpy quiet.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t in chunk:
-                try:
-                    thetas.append(accumulated_theta(model, t))
-                except OverflowGuardError as exc:
-                    overflow = exc
-                    break
-            if thetas:
-                vecs = linalg.expm(np.multiply.outer(thetas, gen)) @ rho
-                out[start:start + len(thetas)] = _output_states(vecs, chunk)
-        if overflow is not None:
-            raise overflow
+    thetas, overflow = [], None
+    # Non-finite blow-ups are caught by _output_states; keep numpy quiet.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for t in times:
+                thetas.append(model.theta(t))
+        except OverflowGuardError as exc:
+            overflow = exc
+        for start in range(0, len(thetas), _EXPM_CHUNK):
+            chunk = thetas[start:start + _EXPM_CHUNK]
+            vecs = linalg.expm(np.multiply.outer(chunk, gen)) @ rho
+            out[start:start + len(chunk)] = _output_states(vecs, times[start:])
+    if overflow is not None:
+        raise overflow
     return Trajectory(times=times.copy(), states=out)
 
 
@@ -356,9 +330,9 @@ def evolve_ode(rho0, params, model, times, substeps=100):
         # Non-finite blow-ups are caught by _output_states; keep numpy quiet.
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(substeps):
-                th0 = instantaneous_rate(model, t)
-                th1 = instantaneous_rate(model, t + 0.5 * h)
-                th2 = instantaneous_rate(model, t + h)
+                th0 = model.rate(t)
+                th1 = model.rate(t + 0.5 * h)
+                th2 = model.rate(t + h)
                 k1 = th0 * (gen @ rho)
                 k2 = th1 * (gen @ (rho + 0.5 * h * k1))
                 k3 = th1 * (gen @ (rho + 0.5 * h * k2))

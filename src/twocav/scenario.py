@@ -15,13 +15,17 @@ from .errors import DomainError, ScenarioError
 
 SCHEMA_VERSION = 1
 
-_KNOWN_KEYS = {
-    "schema", "state", "a", "d", "b", "c", "nbar_prime",
-    "n1", "m1", "nbar",
-    "model", "gamma_m", "r", "omega_c",
-    "t_max", "steps", "closure",
-    "p", "q", "index_order",
-    "extent", "points", "elements",
+# Every scenario key and the conversion of its value.  Each value in a
+# file is converted, and each float checked finite, at parse time, whether
+# or not the run uses it; range checks stay with the object that does.
+_KEY_TYPES = {
+    "schema": int, "state": str.lower,
+    "a": float, "d": float, "b": float, "c": float, "nbar_prime": float,
+    "n1": int, "m1": int, "nbar": float,
+    "model": str.lower, "gamma_m": float, "r": float, "omega_c": float,
+    "t_max": float, "steps": int, "closure": str.lower,
+    "p": float, "q": float, "index_order": str.lower,
+    "extent": float, "points": int,
 }
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -44,7 +48,6 @@ class Scenario:
     index_order: str = teleport.PRINTED
     extent: Optional[float] = None
     points: int = 32
-    elements: str = "oracle"
     raw: dict = field(default_factory=dict)
 
     def initial_state(self):
@@ -80,41 +83,42 @@ class Scenario:
         return wigner.PhaseSpaceGrid(extent=extent, points_per_axis=self.points)
 
     def summary(self):
-        """One-line key=value record for CSV comment headers; closure,
-        index_order and elements appear even when the file leaves them at
-        their defaults."""
-        items = dict(self.raw, closure=self.closure,
-                     index_order=self.index_order, elements=self.elements)
+        """One-line key=value record for CSV comment headers; closure and
+        index_order appear even when the file leaves them at their
+        defaults."""
+        items = dict(self.raw, closure=self.closure, index_order=self.index_order)
         return " ".join("%s=%s" % (k, items[k]) for k in sorted(items))
 
 
-def _get(table, key, convert, default=None, required=False):
-    if key not in table:
-        if required:
-            raise ScenarioError("scenario is missing required key '%s'" % key)
-        return default
+def _convert(key, text):
     try:
-        value = convert(table[key])
-    except (TypeError, ValueError):
-        raise ScenarioError("scenario key '%s' has invalid value %r" % (key, table[key]))
-    if convert is float and not math.isfinite(value):
-        raise ScenarioError("scenario key '%s' must be finite, got %r" % (key, table[key]))
+        value = _KEY_TYPES[key](text)
+    except ValueError:
+        raise ScenarioError("scenario key '%s' has invalid value %r" % (key, text))
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ScenarioError("scenario key '%s' must be finite, got %r" % (key, text))
     return value
 
 
-def _model(table):
-    name = _get(table, "model", str, required=True).lower()
+def _required(values, key):
+    if key not in values:
+        raise ScenarioError("scenario is missing required key '%s'" % key)
+    return values[key]
+
+
+def _model(values):
+    name = _required(values, "model")
     if name == "markovian":
-        return dynamics.Markovian(gamma_m=_get(table, "gamma_m", float, default=1.0))
+        return dynamics.Markovian(gamma_m=values.get("gamma_m", 1.0))
     if name == "ohmic":
-        return dynamics.NonMarkovianOhmic(r=_get(table, "r", float, default=1.0))
+        return dynamics.NonMarkovianOhmic(r=values.get("r", 1.0))
     if name == "kernel":
-        return dynamics.KernelIntegral(omega_c=_get(table, "omega_c", float, default=1.0))
+        return dynamics.KernelIntegral(omega_c=values.get("omega_c", 1.0))
     raise ScenarioError("model must be markovian, ohmic or kernel")
 
 
 def parse_scenario(text):
-    table = {}
+    table, values = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -122,68 +126,55 @@ def parse_scenario(text):
         if "=" not in line:
             raise ScenarioError("line %d is not a key=value pair" % lineno)
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in _KEY_TYPES:
             raise ScenarioError("unknown scenario key '%s'" % key)
         if key in table:
             raise ScenarioError("duplicate scenario key '%s'" % key)
         table[key] = value
+        values[key] = _convert(key, value)
 
-    schema = _get(table, "schema", int, required=True)
+    schema = _required(values, "schema")
     if schema != SCHEMA_VERSION:
         raise ScenarioError("unsupported schema version %d" % schema)
 
-    state = _get(table, "state", str, required=True).lower()
+    state = _required(values, "state")
     if state not in ("epr", "noon", "coherent"):
         raise ScenarioError("state must be epr, noon or coherent")
-    state_params = {}
     if state == "epr":
-        state_params["a"] = _get(table, "a", float, default=_INV_SQRT2)
-        state_params["d"] = _get(table, "d", float, default=_INV_SQRT2)
+        state_params = {k: values.get(k, _INV_SQRT2) for k in ("a", "d")}
     elif state == "noon":
-        state_params["b"] = _get(table, "b", float, default=_INV_SQRT2)
-        state_params["c"] = _get(table, "c", float, default=_INV_SQRT2)
+        state_params = {k: values.get(k, _INV_SQRT2) for k in ("b", "c")}
     else:
-        state_params["nbar_prime"] = _get(
-            table, "nbar_prime", float, required=True
-        )
+        state_params = {"nbar_prime": _required(values, "nbar_prime")}
 
-    t_max = _get(table, "t_max", float, required=True)
+    t_max = _required(values, "t_max")
     if t_max < 0:
         raise ScenarioError("t_max must be non-negative")
-    steps = _get(table, "steps", int, required=True)
+    steps = _required(values, "steps")
     if steps < 2:
         raise ScenarioError("steps must be at least 2")
 
-    # The key stays in every CSV header; its one value names the Laguerre
-    # closed form of the displaced-parity elements.
-    elements = _get(table, "elements", str, default="oracle").lower()
-    if elements != "oracle":
-        raise ScenarioError("elements must be oracle")
-
     # The volume gate compares the grid with one of half the points, never
     # fewer than 8: an 8-point grid would be compared with itself.
-    points = _get(table, "points", int, default=32)
+    points = values.get("points", 32)
     if points < 10 or points % 2:
         raise ScenarioError("points must be even and at least 10")
 
     try:
         scn = Scenario(
             state=state,
-            window=states.FockWindow(n1=_get(table, "n1", int, default=0),
-                                     m1=_get(table, "m1", int, default=0)),
-            nbar=_get(table, "nbar", float, default=0.0),
-            model=_model(table),
+            window=states.FockWindow(n1=values.get("n1", 0), m1=values.get("m1", 0)),
+            nbar=values.get("nbar", 0.0),
+            model=_model(values),
             t_max=t_max,
             steps=steps,
-            closure=_get(table, "closure", str, default=dynamics.LEAKY).lower(),
+            closure=values.get("closure", dynamics.LEAKY),
             state_params=state_params,
-            p=_get(table, "p", float, default=0.0),
-            q=_get(table, "q", float, default=1.0),
-            index_order=_get(table, "index_order", str,
-                             default=teleport.PRINTED).lower(),
-            extent=_get(table, "extent", float, default=None),
+            p=values.get("p", 0.0),
+            q=values.get("q", 1.0),
+            index_order=values.get("index_order", teleport.PRINTED),
+            extent=values.get("extent"),
             points=points,
-            elements=elements,
             raw=table,
         )
         # Build what a run builds, so the checks of each object fire now.

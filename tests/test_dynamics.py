@@ -34,10 +34,10 @@ def test_model_validation():
         lambda: dynamics.NonMarkovianOhmic(r=nan),
         lambda: dynamics.KernelIntegral(nan),
         lambda: dynamics.EvolutionParams(nbar=nan),
-        lambda: dynamics.gamma_nonmarkov(nan, 1.0),
-        lambda: dynamics.gamma_nonmarkov_rate(0.5, nan),
-        lambda: dynamics.gamma_kernel(0.5, nan),
-        lambda: dynamics.instantaneous_rate(dynamics.Markovian(), nan),
+        lambda: dynamics.accumulated_theta(dynamics.NonMarkovianOhmic(r=1.0), nan),
+        lambda: dynamics.NonMarkovianOhmic(r=nan).rate(0.5),
+        lambda: dynamics.KernelIntegral(nan).rate(0.5),
+        lambda: dynamics.accumulated_theta(dynamics.KernelIntegral(), nan),
         lambda: dynamics.accumulated_theta(dynamics.Markovian(), nan),
     ):
         with pytest.raises(DomainError):
@@ -46,13 +46,11 @@ def test_model_validation():
 
 def test_ohmic_rate_matches_numerical_derivative():
     for r in (0.1, 1.0, 5.0):
+        model = dynamics.NonMarkovianOhmic(r=r)
         for t in (0.1, 0.7, 2.0):
             h = 1e-6
-            num = (
-                dynamics.gamma_nonmarkov(t + h, r)
-                - dynamics.gamma_nonmarkov(t - h, r)
-            ) / (2.0 * h)
-            assert dynamics.gamma_nonmarkov_rate(t, r) == pytest.approx(
+            num = (model.theta(t + h) - model.theta(t - h)) / (2.0 * h)
+            assert model.rate(t) == pytest.approx(
                 num, rel=1e-7, abs=1e-7
             )
 
@@ -64,21 +62,21 @@ def test_ohmic_initial_rate_value():
         expect = (8.0 * r**2 / (1 + r**2)) * (
             1.0 + (r - 1.0) / (1 + r**2) + 2.0 * r**2 / (1 + r**2)
         )
-        assert dynamics.gamma_nonmarkov_rate(0.0, r) == pytest.approx(expect)
-    assert dynamics.gamma_nonmarkov_rate(0.0, 1.0) == pytest.approx(8.0)
+        assert dynamics.NonMarkovianOhmic(r=r).rate(0.0) == pytest.approx(expect)
+    assert dynamics.NonMarkovianOhmic(r=1.0).rate(0.0) == pytest.approx(8.0)
 
 
 def test_ohmic_overflow_guard():
     with pytest.raises(OverflowGuardError):
-        dynamics.gamma_nonmarkov(200.0, 5.0)
+        dynamics.NonMarkovianOhmic(r=5.0).theta(200.0)
     with pytest.raises(OverflowGuardError):
-        dynamics.gamma_nonmarkov_rate(800.0, 1.0)
+        dynamics.NonMarkovianOhmic(r=1.0).rate(800.0)
 
 
 def test_kernel_rate_against_quadrature_oracle():
     for t in (0.1, 0.5, 2.0):
         for wc in (0.5, 2.0):
-            direct = dynamics.gamma_kernel(t, wc)
+            direct = dynamics.KernelIntegral(wc).rate(t)
             oracle = dynamics.gamma_kernel_quadrature(t, wc)
             assert direct == pytest.approx(oracle, abs=1e-8)
 
@@ -95,7 +93,7 @@ def test_accumulated_theta_is_antiderivative_of_rate():
                 dynamics.accumulated_theta(model, t + h)
                 - dynamics.accumulated_theta(model, t - h)
             ) / (2.0 * h)
-            assert dynamics.instantaneous_rate(model, t) == pytest.approx(
+            assert model.rate(t) == pytest.approx(
                 num, rel=1e-6, abs=1e-8
             )
         assert dynamics.accumulated_theta(model, 0.0) == pytest.approx(0.0, abs=1e-15)

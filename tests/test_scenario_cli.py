@@ -123,9 +123,19 @@ def test_cli_zero_duration_single_row(tmp_path):
     assert float(first[1]) == pytest.approx(0.5, abs=1e-12)
 
 
-def test_cli_bad_scenario_exit_2(tmp_path):
+def test_cli_bad_scenario_exit_2(tmp_path, capsys):
     path = _write(tmp_path, "schema = 1\nstate = epr\n")
     assert cli.main(["evolve", "--scenario", path, "--out", str(tmp_path)]) == 2
+    for text, message in (
+            (BASE + "steps 10\n", "line 9 is not a key=value pair"),
+            (BASE.replace("model = markovian", "model = lorentzian"),
+             "model must be markovian, ohmic or kernel"),
+            (BASE.replace("steps = 10", "steps = abc"),
+             "scenario key 'steps' has invalid value 'abc'")):
+        path = _write(tmp_path, text)
+        assert cli.main(["evolve", "--scenario", path,
+                         "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
     path = _write(tmp_path, BASE.replace("gamma_m = 1.0", "gamma_m = nan"))
     assert cli.main(["evolve", "--scenario", path, "--out", str(tmp_path)]) == 2
     assert cli.main(["evolve", "--scenario", str(tmp_path / "nope.txt"),
@@ -135,6 +145,15 @@ def test_cli_bad_scenario_exit_2(tmp_path):
         for command in ("evolve", "teleport"):
             assert cli.main([command, "--scenario", path,
                              "--out", str(tmp_path)]) == 2
+
+
+def test_cli_unused_keys_are_still_checked_exit_2(tmp_path):
+    # Keys the run does not use are converted and checked finite too.
+    for line in ("r = abc", "omega_c = nan", "nbar_prime = inf"):
+        path = _write(tmp_path, BASE + line + "\n")
+        assert cli.main(["evolve", "--scenario", path,
+                         "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "trajectory.csv").exists()
 
 
 def test_cli_overflow_exit_3(tmp_path):
@@ -230,8 +249,10 @@ def test_cli_determinism(tmp_path):
         (out2 / "correlations.csv").read_bytes()
 
 
-def test_cli_figures_unknown_id():
+def test_cli_figures_unknown_id(tmp_path):
     assert cli.main(["figures", "fig99"]) == 2
+    with pytest.raises(ScenarioError):
+        cli.run_figures("fig1", str(tmp_path))
 
 
 def test_cli_fig3_bundle(tmp_path):
@@ -318,7 +339,7 @@ def test_cli_scenario_file_sets_modes(tmp_path):
     header = (out / "teleport.csv").read_text().splitlines()[0].split()
     assert "closure=paper" in header
     assert "index_order=symmetric" in header
-    assert "elements=oracle" in header
+    assert "elements=oracle" not in header
 
 
 def test_cli_import_defers_scipy_optimize():
