@@ -4,7 +4,8 @@ Subcommands: evolve, correlations, wigner, volume, teleport, figures.
 The scenario subcommands take only --scenario and --out: the scenario file
 is the whole configuration of a run.  Each scenario subcommand names a
 table builder in `TABLES` that turns a scenario and its evolved trajectory
-into CSV columns and rows.
+into CSV columns and rows; each builder names every column beside its
+values, and no other module names a CSV column.
 `run_scenario` evolves a scenario once and writes every requested table;
 `figures` runs the preset bundles of `FIGURES` through it.  The volume
 table holds the one convergence gate of the negativity volume,
@@ -44,30 +45,34 @@ def write_csv(path, comment, header, rows):
             fh.write(",".join(map("%.17g".__mod__, row)) + "\n")
 
 
+def _table(**columns):
+    """Header and rows of a table given column by column, each named once."""
+    values = (np.asarray(c).tolist() for c in columns.values())
+    return list(columns), [list(row) for row in zip(*values)]
+
+
 def _trajectory_table(scn, traj):
-    return dynamics.TRAJECTORY_COLUMNS, dynamics.trajectory_rows(traj)
-
-
-CORRELATION_COLUMNS = ["t", "negativity", "log_negativity", "concurrence", "discord"]
-
-
-def _columns(*cols):
-    """Rows of a table given column by column."""
-    return [list(row) for row in zip(*(np.asarray(c).tolist() for c in cols))]
+    rho = traj.states
+    entries = {}
+    for i, j in np.ndindex(4, 4):
+        entries["re%d%d" % (i + 1, j + 1)] = rho[:, i, j].real
+        entries["im%d%d" % (i + 1, j + 1)] = rho[:, i, j].imag
+    herm = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+    return _table(t=traj.times, **entries,
+                  trace=np.real(np.trace(rho, axis1=-2, axis2=-1)),
+                  min_eigenvalue=np.linalg.eigvalsh(herm)[:, 0])
 
 
 def _correlations_table(scn, traj):
     rep = correlations.correlation_report(traj.states)
-    return CORRELATION_COLUMNS, _columns(
-        traj.times, rep.negativity, rep.log_negativity, rep.concurrence,
-        rep.discord)
+    return _table(t=traj.times, negativity=rep.negativity,
+                  log_negativity=rep.log_negativity,
+                  concurrence=rep.concurrence, discord=rep.discord)
 
 
 def _wigner_table(scn, traj):
-    rows = []
-    for t, rho in zip(traj.times, traj.states):
-        rows.append([t, wigner.wigner_joint(rho, 0.0, 0.0, scn.window)])
-    return ["t", "w_origin"], rows
+    return _table(t=traj.times, w_origin=[
+        wigner.wigner_joint(rho, 0.0, 0.0, scn.window) for rho in traj.states])
 
 
 VOLUME_GATE = 0.05  # largest tolerated drift between the two resolutions
@@ -75,7 +80,7 @@ VOLUME_GATE = 0.05  # largest tolerated drift between the two resolutions
 
 def _volume_table(scn, traj):
     grid = scn.grid()
-    rows = []
+    volume, volume_half = [], []
     for t, rho in zip(traj.times, traj.states):
         v, v_half = wigner.volume_pair(rho, grid, scn.window)
         # Written so that a NaN volume fails the gate too.
@@ -86,14 +91,9 @@ def _volume_table(scn, traj):
                 fine=v,
                 coarse=v_half,
             )
-        rows.append([t, v, v_half])
-    return ["t", "volume", "volume_half"], rows
-
-
-TELEPORT_COLUMNS = [
-    "t", "fidelity", "fidelity_closed", "concurrence_out", "log_negativity_out",
-    "discord_out", "c1", "c2", "c3", "beats_classical", "non_physical_input",
-]
+        volume.append(v)
+        volume_half.append(v_half)
+    return _table(t=traj.times, volume=volume, volume_half=volume_half)
 
 
 def _teleport_table(scn, traj):
@@ -102,10 +102,13 @@ def _teleport_table(scn, traj):
     res = teleport.teleport_general(traj.states, inp)
     c1, c2, c3 = closed(traj.states, scn.p, scn.q)
     rep = teleport.teleported_measures(res)
-    return TELEPORT_COLUMNS, _columns(
-        traj.times, res.fidelity, teleport.closed_form_fidelity(c1, c2, scn.q),
-        rep.concurrence, rep.log_negativity, rep.discord, c1, c2, c3,
-        res.fidelity > 2.0 / 3.0, [inp.non_physical] * len(traj.times))
+    return _table(
+        t=traj.times, fidelity=res.fidelity,
+        fidelity_closed=teleport.closed_form_fidelity(c1, c2, scn.q),
+        concurrence_out=rep.concurrence, log_negativity_out=rep.log_negativity,
+        discord_out=rep.discord, c1=c1, c2=c2, c3=c3,
+        beats_classical=res.fidelity > 2.0 / 3.0,
+        non_physical_input=[inp.non_physical] * len(traj.times))
 
 
 # Subcommand -> (table builder, default CSV name, note appended to the

@@ -209,22 +209,25 @@ def _conditional_entropy_grid(rho, thetas, phis):
     return total
 
 
-def discord_bruteforce(rho, grid=64):
+BRUTEFORCE_GRID = 64  # points per Bloch angle in the seeding scan
+
+
+def discord_bruteforce(rho):
     """Quantum discord via direct minimization over projective B measurements.
 
-    A (grid x grid) scan over the Bloch angles seeds a Nelder-Mead
-    refinement of the conditional entropy.
+    A (BRUTEFORCE_GRID x BRUTEFORCE_GRID) scan over the Bloch angles seeds a
+    Nelder-Mead refinement of the conditional entropy.
     """
     rho = np.asarray(rho, dtype=complex)
     rho_b = np.einsum("aiaj->ij", rho.reshape(2, 2, 2, 2))
     s_b = von_neumann_entropy(rho_b)
     s_ab = von_neumann_entropy(rho)
 
-    thetas = np.linspace(0.0, math.pi, grid)
-    phis = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+    thetas = np.linspace(0.0, math.pi, BRUTEFORCE_GRID)
+    phis = np.linspace(0.0, 2.0 * math.pi, BRUTEFORCE_GRID, endpoint=False)
     vals = _conditional_entropy_grid(rho, thetas, phis)
     k = int(np.argmin(vals))
-    t0, p0 = thetas[k // grid], phis[k % grid]
+    t0, p0 = thetas[k // BRUTEFORCE_GRID], phis[k % BRUTEFORCE_GRID]
 
     def objective(x):
         return _conditional_entropy_grid(rho, np.array([x[0]]), np.array([x[1]]))[0]

@@ -401,20 +401,3 @@ def evolve_analytic_trajectory(rho0, model, times, m1):
         out[k] = evolve_analytic_vacuum(rho0, accumulated_theta(model, t), m1)
     return Trajectory(times=times.copy(), states=out)
 
-
-TRAJECTORY_COLUMNS = ["t"]
-for _i in range(1, 5):
-    for _j in range(1, 5):
-        TRAJECTORY_COLUMNS += ["re%d%d" % (_i, _j), "im%d%d" % (_i, _j)]
-TRAJECTORY_COLUMNS += ["trace", "min_eigenvalue"]
-
-
-def trajectory_rows(traj):
-    """Row-major CSV rows (t, re/im of all 16 entries, trace, min eig)."""
-    rho = traj.states
-    rows = np.empty((len(rho), 35))
-    rows[:, 0] = traj.times
-    rows[:, 1:33] = rho.reshape(len(rho), 16).view(float)  # re, im interleaved
-    rows[:, 33] = np.real(np.trace(rho, axis1=-2, axis2=-1))
-    rows[:, 34] = np.linalg.eigvalsh(0.5 * (rho + rho.conj().swapaxes(-1, -2)))[:, 0]
-    return rows.tolist()

@@ -7,8 +7,7 @@ object that uses it and bad input fails before anything is evolved.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from . import dynamics, states, teleport, wigner
 from .errors import DomainError, ScenarioError
@@ -24,8 +23,7 @@ _KEY_TYPES = {
     "n1": int, "m1": int, "nbar": float,
     "model": str.lower, "gamma_m": float, "r": float, "omega_c": float,
     "t_max": float, "steps": int, "closure": str.lower,
-    "p": float, "q": float, "index_order": str.lower,
-    "extent": float, "points": int,
+    "p": float, "q": float, "index_order": str.lower, "points": int,
 }
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -33,7 +31,9 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class Scenario:
-    """Fully-resolved run description, as parsed from a scenario file."""
+    """Fully-resolved run description, as parsed from a scenario file.
+
+    Built only by `parse_scenario`, which holds every default."""
 
     state: str
     window: states.FockWindow
@@ -41,14 +41,13 @@ class Scenario:
     model: object
     t_max: float
     steps: int
-    closure: str = dynamics.LEAKY
-    state_params: dict = field(default_factory=dict)
-    p: float = 0.0
-    q: float = 1.0
-    index_order: str = teleport.PRINTED
-    extent: Optional[float] = None
-    points: int = 32
-    raw: dict = field(default_factory=dict)
+    closure: str
+    state_params: dict
+    p: float
+    q: float
+    index_order: str
+    points: int
+    raw: dict
 
     def initial_state(self):
         if self.state == "epr":
@@ -77,10 +76,8 @@ class Scenario:
 
     def grid(self):
         """Phase-space grid of the negativity volume."""
-        extent = self.extent
-        if extent is None:
-            extent = wigner.default_extent(self.window)
-        return wigner.PhaseSpaceGrid(extent=extent, points_per_axis=self.points)
+        return wigner.PhaseSpaceGrid(extent=wigner.default_extent(self.window),
+                                     points_per_axis=self.points)
 
     def summary(self):
         """One-line key=value record for CSV comment headers; closure and
@@ -173,7 +170,6 @@ def parse_scenario(text):
             p=values.get("p", 0.0),
             q=values.get("q", 1.0),
             index_order=values.get("index_order", teleport.PRINTED),
-            extent=values.get("extent"),
             points=points,
             raw=table,
         )

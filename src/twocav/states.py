@@ -33,20 +33,6 @@ class FockWindow:
 
 
 @dataclass(frozen=True)
-class Amplitudes:
-    """Normalized window amplitudes, with the raw values kept for audit."""
-
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-    raw: tuple
-
-    def as_vector(self):
-        return np.array([self.a, self.b, self.c, self.d], dtype=complex)
-
-
-@dataclass(frozen=True)
 class StateValidationReport:
     hermiticity_defect: float
     min_eigenvalue: float
@@ -55,11 +41,11 @@ class StateValidationReport:
 
 
 def _normalize(raw):
+    """The (4,) complex vector raw / |raw|."""
     norm = math.sqrt(sum(abs(z) ** 2 for z in raw))
     if norm == 0.0:
         raise DegenerateStateError("all window amplitudes are zero")
-    a, b, c, d = (z / norm for z in raw)
-    return Amplitudes(a, b, c, d, raw=tuple(raw))
+    return np.array([z / norm for z in raw], dtype=complex)
 
 
 def coherent_amplitudes_paper(nbar_prime, window=FockWindow()):
@@ -67,11 +53,11 @@ def coherent_amplitudes_paper(nbar_prime, window=FockWindow()):
 
     Evaluates the printed closed form verbatim: each amplitude is
     (1/sqrt(2)) * exp(-n') * sqrt(n'**e / e!) where the exponent e is the
-    printed index product (0**0 := 1).  The result is renormalized; the raw
-    values are kept on the Amplitudes.  This variant disagrees with
-    projection_amplitudes away from n' = 1 -- compare with
-    amplitude_disagreement before trusting it on shifted windows.  Raises
-    DomainError where an amplitude overflows double precision.
+    printed index product (0**0 := 1), renormalized to a (4,) complex
+    vector.  This variant disagrees with projection_amplitudes away from
+    n' = 1 -- compare with amplitude_disagreement before trusting it on
+    shifted windows.  Raises DomainError where an amplitude overflows double
+    precision.
     """
     if nbar_prime < 0:
         raise DomainError("mean photon number must be non-negative")
@@ -107,7 +93,8 @@ def projection_amplitudes(nbar_prime, window=FockWindow()):
     """Window amplitudes from the standard coherent expansion.
 
     Projects |alpha> x |beta> (equal mean photon number n') onto the four
-    window states using c_n = exp(-n'/2) sqrt(n'**n / n!), then renormalizes.
+    window states using c_n = exp(-n'/2) sqrt(n'**n / n!), renormalized to a
+    (4,) complex vector.
     """
     if nbar_prime < 0:
         raise DomainError("mean photon number must be non-negative")
@@ -126,8 +113,8 @@ def projection_amplitudes(nbar_prime, window=FockWindow()):
 
 def amplitude_disagreement(nbar_prime, window=FockWindow()):
     """Max |difference| between the two amplitude variants after phase fix."""
-    u = coherent_amplitudes_paper(nbar_prime, window).as_vector()
-    v = projection_amplitudes(nbar_prime, window).as_vector()
+    u = coherent_amplitudes_paper(nbar_prime, window)
+    v = projection_amplitudes(nbar_prime, window)
     phase = np.vdot(v, u)
     if phase != 0:
         u = u * (abs(phase) / phase)
@@ -136,11 +123,7 @@ def amplitude_disagreement(nbar_prime, window=FockWindow()):
 
 def pure_state(amplitudes):
     """Rank-1 density matrix of a window superposition."""
-    psi = (
-        amplitudes.as_vector()
-        if isinstance(amplitudes, Amplitudes)
-        else np.asarray(amplitudes, dtype=complex)
-    )
+    psi = np.asarray(amplitudes, dtype=complex)
     return np.outer(psi, psi.conj())
 
 

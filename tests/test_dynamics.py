@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from twocav import dynamics, states
+from twocav import cli, dynamics, states
 from twocav.errors import DomainError, IntegrationError, OverflowGuardError
 from twocav.states import FockWindow
 
@@ -301,6 +301,6 @@ def test_trajectory_rows_shape():
     traj = dynamics.evolve_ode(
         bell_epr(), dynamics.EvolutionParams(), dynamics.Markovian(1.0), times
     )
-    rows = dynamics.trajectory_rows(traj)
+    header, rows = cli.TABLES["evolve"][0](None, traj)
     assert len(rows) == 5
-    assert len(rows[0]) == len(dynamics.TRAJECTORY_COLUMNS)
+    assert len(rows[0]) == len(header) == 35

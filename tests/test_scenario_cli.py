@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import twocav
-from twocav import cli, scenario as sc
+from twocav import cli, dynamics, scenario as sc
 from twocav.errors import ScenarioError
 
 BASE = """
@@ -67,11 +67,12 @@ def test_parse_validates_values():
     coherent = BASE.replace("state = epr", "state = coherent")
     for bad in (BASE + "nbar = -1\n",
                 coherent + "nbar_prime = -1\n",
-                BASE + "extent = -2\n",
                 BASE.replace("state = epr", "state = epr\na = 2"),
                 # An 8-point volume grid has no coarser twin to gate against.
                 BASE + "points = 8\n",
+                # Retired keys; the volume box now always follows the window.
                 BASE + "elements = paper\n",
+                BASE + "extent = -2\n",
                 # Not keys: omega0 only sets the time unit, and the printed
                 # rho13 term is an erratum.
                 BASE.replace("model = markovian", "model = ohmic\nomega0 = 1"),
@@ -147,6 +148,28 @@ def test_cli_bad_scenario_exit_2(tmp_path, capsys):
                              "--out", str(tmp_path)]) == 2
 
 
+def test_kernel_model_from_scenario_file(tmp_path, capsys):
+    kernel = BASE.replace("model = markovian", "model = kernel")
+    scn = sc.parse_scenario(kernel + "omega_c = 1.5\n")
+    assert scn.model == dynamics.KernelIntegral(omega_c=1.5)
+    path = _write(tmp_path, kernel + "omega_c = 0\n")
+    assert cli.main(["evolve", "--scenario", path, "--out", str(tmp_path)]) == 2
+    assert "omega_c must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_cli_drained_window_teleport_exit_2(tmp_path, capsys):
+    # The scenario parses and evolves, but the leaky m1 = 2 window drains
+    # (trace 4e-174 at t = 200) and the teleported trace underflows to 0,
+    # so the run exits 2 after evolving, without writing a CSV.
+    text = BASE.replace("m1 = 0", "m1 = 2").replace("t_max = 1.0", "t_max = 200")
+    path = _write(tmp_path, text.replace("steps = 10", "steps = 3"))
+    assert cli.main(["teleport", "--scenario", path,
+                     "--out", str(tmp_path)]) == 2
+    assert "teleported state has non-positive trace" in capsys.readouterr().err
+    assert not (tmp_path / "teleport.csv").exists()
+
+
 def test_cli_unused_keys_are_still_checked_exit_2(tmp_path):
     # Keys the run does not use are converted and checked finite too.
     for line in ("r = abc", "omega_c = nan", "nbar_prime = inf"):
@@ -184,7 +207,7 @@ def test_cli_paper_elements_rejected(tmp_path):
 def test_cli_quadrature_exit_4(tmp_path):
     # A coarse grid on a strongly negative state trips the convergence gate.
     text = BASE.replace("state = epr", "state = noon")
-    text += "points = 16\nextent = 6.0\n"
+    text += "points = 16\n"
     path = _write(tmp_path, text)
     assert cli.main(["volume", "--scenario", path, "--out", str(tmp_path)]) == 4
 
@@ -232,7 +255,9 @@ def test_cli_teleport_columns_and_flags(tmp_path):
     assert cli.main(["teleport", "--scenario", path, "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "teleport.csv").read_text().splitlines()
     header = lines[1].split(",")
-    assert header == cli.TELEPORT_COLUMNS
+    assert header == ["t", "fidelity", "fidelity_closed", "concurrence_out",
+                      "log_negativity_out", "discord_out", "c1", "c2", "c3",
+                      "beats_classical", "non_physical_input"]
     rows = [line.split(",") for line in lines[2:]]
     assert all(row[-1] == "1" for row in rows)  # non-physical input flagged
     assert all(math.isfinite(float(row[1])) for row in rows)
@@ -253,6 +278,13 @@ def test_cli_figures_unknown_id(tmp_path):
     assert cli.main(["figures", "fig99"]) == 2
     with pytest.raises(ScenarioError):
         cli.run_figures("fig1", str(tmp_path))
+
+
+def test_cli_main_runs_figures(tmp_path, capsys):
+    assert cli.main(["figures", "fig2", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        str(tmp_path / "fig2a_measures.csv"),
+        str(tmp_path / "fig2b_populations.csv")]
 
 
 def test_cli_fig3_bundle(tmp_path):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import linalg
 
-from twocav import correlations as co, dynamics, states, teleport as tp
+from twocav import cli, correlations as co, dynamics, states, teleport as tp
 from twocav.errors import DomainError
 from twocav.states import FockWindow
 
@@ -137,7 +137,7 @@ def test_evolve_matches_one_expm_per_time(n):
 def test_trajectory_rows_match_per_state_eigvalsh():
     rho0, params, model = CONFIGS[1]
     traj = dynamics.evolve(rho0, params, model, np.linspace(0.0, 1.0, CHUNK + 3))
-    rows = np.array(dynamics.trajectory_rows(traj))
+    rows = np.array(cli.TABLES["evolve"][0](None, traj)[1])
     for row, rho in zip(rows, traj.states):
         herm = 0.5 * (rho + rho.conj().T)
         assert_same_bits(row[-2:], [np.real(np.trace(rho)), np.linalg.eigvalsh(herm)[0]])

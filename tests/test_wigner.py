@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from twocav import cli, errata, scenario, states, wigner as wg
-from twocav.errors import DomainError, QuadratureConvergenceError
+from twocav.errors import ConsistencyError, DomainError, QuadratureConvergenceError
 from twocav.states import FockWindow
 
 W0 = FockWindow(0, 0)
@@ -161,12 +161,23 @@ def test_volume_fock_state_positive():
     assert abs(fine - coarse) <= 5e-2
 
 
+def test_imaginary_residue_raises():
+    # A non-Hermitian rho (rho_12 = 0.3, rho_21 = 0) gives W an imaginary
+    # part: about 0.053 at this point and 0.022 on the volume grid.
+    rho = np.eye(4, dtype=complex) / 4
+    rho[0, 1] = 0.3
+    with pytest.raises(ConsistencyError):
+        wg.wigner_joint(rho, 0.3 + 0.1j, -0.2 + 0.4j)
+    with pytest.raises(ConsistencyError):
+        wg.volume_pair(rho, wg.PhaseSpaceGrid(4.0, 10))
+
+
 def test_volume_convergence_error_carries_both_values(tmp_path):
     # The CLI volume table gates the fine/coarse gap; a coarse grid on a
     # strongly negative state trips it.
     scn = scenario.parse_scenario(
         "schema = 1\nstate = noon\nmodel = markovian\nt_max = 0\nsteps = 2\n"
-        "points = 16\nextent = 6.0\n")
+        "points = 16\n")
     with pytest.raises(QuadratureConvergenceError) as err:
         cli.run_scenario(scn, [("volume", "volume")], str(tmp_path))
     fine, coarse = err.value.fine, err.value.coarse
