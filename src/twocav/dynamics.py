@@ -5,18 +5,19 @@ so a damping model is fully described by its accumulated decoherence
 Theta(t); each model class owns `theta(t)` and its derivative `rate(t)`.
 `evolve` applies the exact propagator rho(t) = expm(Theta(t) A) rho(0),
 with A the constant generator; the command line uses it for every model.
-It exponentiates the Theta(t) A blocks of a few grid times per `expm` call
-and returns the whole trajectory as one (T, 4, 4) stack, bit-identical to
-one call per grid time.  Two engines stay as test oracles: a fixed-step
-RK4 integration (`evolve_ode`), and a closed-form propagator for the
-vacuum-reservoir case (nbar = 0, n1 = m1) re-derived from the cascade.
+For the vacuum reservoir with the leaky closure (nbar = 0) A is upper
+triangular, and `evolve_analytic_vacuum` evaluates the propagator in
+closed form on any window, vectorised over the grid.  Every other
+generator is exponentiated a few grid times per `expm` call, bit-identical
+to one call per grid time.  Either way the trajectory comes back as one
+(T, 4, 4) stack.  A fixed-step RK4 integration (`evolve_ode`) stays as the
+test oracle of both.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
 
 from .errors import DomainError, IntegrationError, OverflowGuardError
 from .states import FockWindow
@@ -281,17 +282,33 @@ def _output_states(vecs, times):
 _EXPM_CHUNK = 8
 
 
+def _expm_states(rho, params, thetas, times):
+    """States expm(Theta A) rho at the grid times of thetas, a chunk of grid
+    times per `expm` call and checked chunk by chunk; bit-identical to one
+    call per time."""
+    from scipy import linalg  # deferred: the vacuum reservoir needs no expm
+
+    gen = generator_matrix(params)
+    vec = rho.ravel()
+    out = np.empty((len(thetas), 4, 4), dtype=complex)
+    for start in range(0, len(thetas), _EXPM_CHUNK):
+        chunk = thetas[start:start + _EXPM_CHUNK]
+        vecs = linalg.expm(np.multiply.outer(chunk, gen)) @ vec
+        out[start:start + len(chunk)] = _output_states(vecs, times[start:])
+    return out
+
+
 def evolve(rho0, params, model, times):
     """Exact propagator expm(Theta(t) A) applied to rho0 at each grid time.
 
+    The vacuum reservoir with the leaky closure takes the closed form
+    `evolve_analytic_vacuum`; every other generator goes through `expm`.
     Failures surface in grid order: a time whose Theta overflows
-    (OverflowGuardError) or whose state is non-finite (IntegrationError)
-    is reported only if no earlier time failed.
+    (OverflowGuardError) or whose Theta or state is non-finite
+    (IntegrationError) is reported only if no earlier time failed.
     """
     times = _time_grid(times)
-    gen = generator_matrix(params)
-    rho = np.array(rho0, dtype=complex).ravel()
-    out = np.empty((len(times), 4, 4), dtype=complex)
+    rho = np.array(rho0, dtype=complex)
     thetas, overflow = [], None
     # Non-finite blow-ups are caught by _output_states; keep numpy quiet.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -300,10 +317,15 @@ def evolve(rho0, params, model, times):
                 thetas.append(model.theta(t))
         except OverflowGuardError as exc:
             overflow = exc
-        for start in range(0, len(thetas), _EXPM_CHUNK):
-            chunk = thetas[start:start + _EXPM_CHUNK]
-            vecs = linalg.expm(np.multiply.outer(chunk, gen)) @ rho
-            out[start:start + len(chunk)] = _output_states(vecs, times[start:])
+        thetas = np.array(thetas, dtype=float)
+        if params.nbar == 0 and params.closure_mode == LEAKY:
+            vecs = evolve_analytic_vacuum(rho, thetas, params.window).reshape(-1, 16)
+            # The closed form has a finite limit at Theta = inf whenever
+            # n1 + m1 > 0; a non-finite Theta must still fail at its time.
+            vecs[~np.isfinite(thetas)] = np.nan
+            out = _output_states(vecs, times)
+        else:
+            out = _expm_states(rho, params, thetas, times)
     if overflow is not None:
         raise overflow
     return Trajectory(times=times.copy(), states=out)
@@ -344,60 +366,50 @@ def evolve_ode(rho0, params, model, times, substeps=100):
     return Trajectory(times=times.copy(), states=out)
 
 
-def evolve_analytic_vacuum(rho0, theta, m1):
-    """Closed-form vacuum-reservoir propagator for n1 = m1 windows.
+def evolve_analytic_vacuum(rho0, theta, window):
+    """Closed-form propagator of the vacuum reservoir (nbar = 0, leaky
+    closure) on any window, at accumulated decoherence theta.
 
-    `theta` is the accumulated decoherence Theta(t).  The exponents come
-    from integrating the cascade directly; they agree with `evolve` to
-    rounding, which is the contract (the printed solutions contain
-    exponent typos, kept in the errata module).
+    theta is a scalar or an array, and the result has shape
+    theta.shape + (4, 4).  At nbar = 0 the generator is upper triangular
+    and the cascade integrates from the top level down.  With N = n1 + m1,
+    a = n1 + 1, b = m1 + 1, E_k = exp(-k Theta) and D = 1 - exp(-Theta)
+    (1-based indices):
+
+        rho44 -> E_{N+2} rho44
+        rho22 -> E_{N+1} (rho22 + a D rho44)
+        rho33 -> E_{N+1} (rho33 + b D rho44)
+        rho11 -> E_N (rho11 + D (b rho22 + a rho33) + a b D^2 rho44)
+        rho14 -> E_{N+2} rho14          rho23 -> E_{N+1} rho23
+        rho24 -> E_{N+3/2} rho24        rho34 -> E_{N+3/2} rho34
+        rho12 -> E_{N+1/2} (rho12 + a D rho34)
+        rho13 -> E_{N+1/2} (rho13 + a D rho24)
+
+    and the lower triangle applies the same coefficients to the transposed
+    entries.  Every coefficient is a product of non-negative factors, so
+    nothing cancels, and for Theta >= 0 none exceeds a b.  The printed
+    n1 = m1 solutions contain exponent typos; they are kept in the errata
+    module.
     """
-    if m1 < 0:
-        raise DomainError("m1 must be non-negative")
-    m = m1
+    n = window.n1 + window.m1
+    a, b = window.n1 + 1.0, window.m1 + 1.0
+    theta = np.asarray(theta, dtype=float)
     r0 = np.asarray(rho0, dtype=complex)
+    d = -np.expm1(-theta)
+    e = {k: np.exp(-(n + k) * theta) for k in (0.0, 0.5, 1.0, 1.5, 2.0)}
 
-    def E(k):
-        return math.exp(-k * theta)
-
-    mp1 = m + 1.0
-    s0 = r0[1, 1] + r0[2, 2]
-    out = np.empty((4, 4), dtype=complex)
-
-    out[3, 3] = r0[3, 3] * E(2 * m + 2)
-    out[1, 1] = (r0[1, 1] + mp1 * r0[3, 3]) * E(2 * m + 1) - mp1 * r0[3, 3] * E(2 * m + 2)
-    out[2, 2] = (r0[2, 2] + mp1 * r0[3, 3]) * E(2 * m + 1) - mp1 * r0[3, 3] * E(2 * m + 2)
-    out[0, 0] = (
-        (r0[0, 0] + mp1 * s0 + mp1**2 * r0[3, 3]) * E(2 * m)
-        - mp1 * (s0 + 2.0 * mp1 * r0[3, 3]) * E(2 * m + 1)
-        + mp1**2 * r0[3, 3] * E(2 * m + 2)
-    )
-
-    out[0, 3] = r0[0, 3] * E(2 * m + 2)
-    out[3, 0] = r0[3, 0] * E(2 * m + 2)
-    out[1, 2] = r0[1, 2] * E(2 * m + 1)
-    out[2, 1] = r0[2, 1] * E(2 * m + 1)
-
-    e_slow = E((4 * m + 1) / 2.0)
-    e_fast = E((4 * m + 3) / 2.0)
-    out[1, 3] = r0[1, 3] * e_fast
-    out[3, 1] = r0[3, 1] * e_fast
-    out[2, 3] = r0[2, 3] * e_fast
-    out[3, 2] = r0[3, 2] * e_fast
-    out[0, 1] = (r0[0, 1] + mp1 * r0[2, 3]) * e_slow - mp1 * r0[2, 3] * e_fast
-    out[1, 0] = (r0[1, 0] + mp1 * r0[3, 2]) * e_slow - mp1 * r0[3, 2] * e_fast
-
-    out[0, 2] = (r0[0, 2] + mp1 * r0[1, 3]) * e_slow - mp1 * r0[1, 3] * e_fast
-    out[2, 0] = (r0[2, 0] + mp1 * r0[3, 1]) * e_slow - mp1 * r0[3, 1] * e_fast
-
+    out = np.empty(theta.shape + (4, 4), dtype=complex)
+    out[..., 0, 0] = e[0.0] * (r0[0, 0] + d * (b * r0[1, 1] + a * r0[2, 2])
+                               + a * b * d**2 * r0[3, 3])
+    out[..., 1, 1] = e[1.0] * (r0[1, 1] + a * d * r0[3, 3])
+    out[..., 2, 2] = e[1.0] * (r0[2, 2] + b * d * r0[3, 3])
+    out[..., 3, 3] = e[2.0] * r0[3, 3]
+    # Upper triangle from rho0, lower triangle from its transpose.
+    for r, o in ((r0, out), (r0.T, out.swapaxes(-1, -2))):
+        o[..., 0, 1] = e[0.5] * (r[0, 1] + a * d * r[2, 3])
+        o[..., 0, 2] = e[0.5] * (r[0, 2] + a * d * r[1, 3])
+        o[..., 0, 3] = e[2.0] * r[0, 3]
+        o[..., 1, 2] = e[1.0] * r[1, 2]
+        o[..., 1, 3] = e[1.5] * r[1, 3]
+        o[..., 2, 3] = e[1.5] * r[2, 3]
     return out
-
-
-def evolve_analytic_trajectory(rho0, model, times, m1):
-    """Analytic propagator applied at Theta(t) for each grid time."""
-    times = np.asarray(times, dtype=float)
-    out = np.empty((len(times), 4, 4), dtype=complex)
-    for k, t in enumerate(times):
-        out[k] = evolve_analytic_vacuum(rho0, accumulated_theta(model, t), m1)
-    return Trajectory(times=times.copy(), states=out)
-

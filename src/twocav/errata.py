@@ -17,6 +17,7 @@ import numpy as np
 
 from . import dynamics
 from .errors import DomainError
+from .states import FockWindow
 from .wigner import laguerre_assoc
 
 
@@ -56,8 +57,8 @@ def printed_populations(rho0, theta_t, m1):
 
 
 def corrected_populations(rho0, theta_t, m1):
-    """Repaired populations: the diagonal of the re-derived vacuum propagator."""
-    rho = dynamics.evolve_analytic_vacuum(rho0, theta_t, m1)
+    """Repaired populations: the diagonal of the vacuum closed form."""
+    rho = dynamics.evolve_analytic_vacuum(rho0, theta_t, FockWindow(m1, m1))
     return tuple(np.real(np.diagonal(rho)))
 
 

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .errors import ConsistencyError, DomainError, QuadratureConvergenceError
 from .states import FockWindow
@@ -119,6 +118,7 @@ def displaced_parity_oracle(m, mp, alpha, cutoff=None, check=True):
         cutoff = suggested_cutoff(max(m, mp), abs(alpha))
     if cutoff < max(m, mp) + 20:
         raise DomainError("cutoff must be at least max(m, mp) + 20")
+    from scipy import linalg  # deferred: only this oracle needs it
 
     def element(nc):
         k = np.arange(1, nc)

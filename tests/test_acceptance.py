@@ -66,7 +66,7 @@ def test_criterion_1_engine_equivalence():
                 times = np.linspace(0.0, t_max, 200)
                 ode = dynamics.evolve_ode(rho0, params, model, times,
                                           substeps=20)
-                ana = dynamics.evolve_analytic_trajectory(rho0, model, times, m)
+                ana = dynamics.evolve(rho0, params, model, times)
                 worst = max(worst, float(np.max(np.abs(ana.states - ode.states))))
     elapsed = time.perf_counter() - start
     _report(1, worst <= 1e-8 and elapsed < 5.0)
@@ -108,12 +108,12 @@ def test_criterion_4_sudden_death_at_ln2():
 
     def signed(t):
         theta = dynamics.accumulated_theta(model, t)
-        rho = dynamics.evolve_analytic_vacuum(rho0, theta, 0)
+        rho = dynamics.evolve_analytic_vacuum(rho0, theta, states.FockWindow())
         return abs(rho[0, 3]) - math.sqrt(rho[1, 1].real * rho[2, 2].real)
 
     root = brentq(signed, 0.1, 3.0, xtol=1e-12)
     rho_after = dynamics.evolve_analytic_vacuum(
-        rho0, dynamics.accumulated_theta(model, root + 0.05), 0)
+        rho0, dynamics.accumulated_theta(model, root + 0.05), states.FockWindow())
     _report(4, abs(root - math.log(2.0)) <= 1e-6
             and correlations.concurrence(rho_after) == 0.0)
 

@@ -135,7 +135,7 @@ def test_measures_decay_along_trajectory():
     rho0 = states.build_epr(INV_SQRT2, INV_SQRT2)
     thetas = np.linspace(0.0, 1.5, 16)
     ln = [
-        co.log_negativity(dynamics.evolve_analytic_vacuum(rho0, th, 0))
+        co.log_negativity(dynamics.evolve_analytic_vacuum(rho0, th, states.FockWindow()))
         for th in thetas
     ]
     assert all(x >= y - 1e-12 for x, y in zip(ln, ln[1:]))

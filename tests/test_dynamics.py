@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from twocav import cli, dynamics, states
 from twocav.errors import DomainError, IntegrationError, OverflowGuardError
@@ -110,31 +111,33 @@ def test_markovian_coherence_decay_closed_form():
 
 
 def test_analytic_matches_ode_markovian_base_window():
+    # nbar = 0 with the leaky closure: evolve takes the vacuum closed form.
     times = np.linspace(0.0, 5.0, 120)
     model = dynamics.Markovian(1.0)
     traj = dynamics.evolve_ode(bell_epr(), dynamics.EvolutionParams(), model, times)
-    ana = dynamics.evolve_analytic_trajectory(bell_epr(), model, times, 0)
+    ana = dynamics.evolve(bell_epr(), dynamics.EvolutionParams(), model, times)
     assert np.max(np.abs(traj.states - ana.states)) < 1e-10
 
 
 def test_analytic_matches_ode_shifted_window_with_full_coherences():
-    # A dense pure state exercises every cascade branch.
+    # A dense pure state exercises every cascade branch; unequal n1 and m1
+    # tell the a = n1 + 1 and b = m1 + 1 weights apart.
     vec = np.array([0.5, 0.5j, -0.5, 0.5], dtype=complex)
     rho0 = states.pure_state(vec)
-    w = FockWindow(1, 1)
+    window = FockWindow(2, 1)
     times = np.linspace(0.0, 2.0, 80)
     model = dynamics.Markovian(0.8)
-    traj = dynamics.evolve_ode(
-        rho0, dynamics.EvolutionParams(window=w), model, times
-    )
-    ana = dynamics.evolve_analytic_trajectory(rho0, model, times, 1)
-    assert np.max(np.abs(traj.states - ana.states)) < 1e-10
+    params = dynamics.EvolutionParams(window=window)
+    traj = dynamics.evolve_ode(rho0, params, model, times)
+    thetas = np.array([model.theta(t) for t in times])
+    ana = dynamics.evolve_analytic_vacuum(rho0, thetas, window)
+    assert np.max(np.abs(traj.states - ana)) < 1e-10
 
 
 def test_vacuum_populations_closed_form_base_window():
     # EPR start: rho22 = (e^-T - e^-2T)/2 and rho11 = 1 - e^-T + e^-2T/2.
     for theta in (0.0, 0.2, 0.7, 2.0):
-        rho = dynamics.evolve_analytic_vacuum(bell_epr(), theta, 0)
+        rho = dynamics.evolve_analytic_vacuum(bell_epr(), theta, FockWindow())
         e1, e2 = math.exp(-theta), math.exp(-2.0 * theta)
         assert rho[1, 1].real == pytest.approx(0.5 * (e1 - e2), abs=1e-12)
         assert rho[2, 2].real == pytest.approx(0.5 * (e1 - e2), abs=1e-12)
@@ -233,11 +236,15 @@ def test_overflow_surfaces_during_integration():
             )
 
 
+# A thermal reservoir keeps evolve on its `expm` path.
+THERMAL = dynamics.EvolutionParams(nbar=0.3)
+
+
 def test_non_finite_state_raises_integration_error_at_its_time():
     # Theta(1) = 1e308 overflows the generator's entries; the first grid
     # time with a non-finite state is reported, whatever the propagator.
     with pytest.raises(IntegrationError) as info:
-        dynamics.evolve(bell_epr(), dynamics.EvolutionParams(),
+        dynamics.evolve(bell_epr(), THERMAL,
                         dynamics.Markovian(gamma_m=1e308), [0.0, 1.0, 2.0])
     assert info.value.time == 1.0
 
@@ -253,10 +260,61 @@ def test_non_finite_state_raises_integration_error_at_its_time():
 ])
 def test_first_failing_time_decides_the_error(times, error, time):
     with pytest.raises(error) as info:
-        dynamics.evolve(bell_epr(), dynamics.EvolutionParams(),
+        dynamics.evolve(bell_epr(), THERMAL,
                         dynamics.NonMarkovianOhmic(r=1000.0), times)
     if time is not None:
         assert info.value.time == time
+
+
+WINDOWS = [FockWindow(n1, m1) for n1 in range(3) for m1 in range(3)]
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+def test_vacuum_closed_form_reaches_its_limit_at_huge_theta(window):
+    # Theta(1) = 1e308 overflows expm, but the closed form has a finite
+    # limit: everything decays, except that the base window keeps the
+    # whole trace in rho11.
+    traj = dynamics.evolve(bell_epr(), dynamics.EvolutionParams(window=window),
+                           dynamics.Markovian(gamma_m=1e308), [0.0, 1.0])
+    limit = np.zeros((4, 4), dtype=complex)
+    if window == FockWindow():
+        limit[0, 0] = np.trace(bell_epr())
+    assert np.max(np.abs(traj.states[1] - limit)) <= 1e-15
+
+
+class ThetaTable:
+    """A damping model that reads Theta(t) off a table; None raises the
+    Ohmic overflow guard."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def theta(self, t):
+        if self.table[t] is None:
+            raise OverflowGuardError("guard at t = %g" % t)
+        return self.table[t]
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_vacuum_non_finite_theta_raises_at_its_time(window, bad):
+    # -0 * inf is NaN only on the base window (N = 0); elsewhere the closed
+    # form at Theta = inf is finite, so Theta itself is checked.  The
+    # failure comes before a later overflow guard.
+    model = ThetaTable({0.0: 0.0, 1.0: 0.5, 2.0: bad, 3.0: 1.0, 4.0: None})
+    with pytest.raises(IntegrationError) as info:
+        dynamics.evolve(bell_epr(), dynamics.EvolutionParams(window=window),
+                        model, [0.0, 1.0, 2.0, 3.0, 4.0])
+    assert info.value.time == 2.0
+
+
+@pytest.mark.parametrize("times", [[0.0, 0.001, 0.71, 0.72], [0.0, 0.001, 0.35, 0.71]])
+def test_vacuum_branch_keeps_the_ohmic_guard(times):
+    # At t = 0.35 Theta is about 1.8e150: expm overflows there, the closed
+    # form does not, so the guard at t = 0.71 is the first failure.
+    with pytest.raises(OverflowGuardError):
+        dynamics.evolve(bell_epr(), dynamics.EvolutionParams(),
+                        dynamics.NonMarkovianOhmic(r=1000.0), times)
 
 
 # Each rate model with a horizon short of the Ohmic re-amplification.
@@ -286,14 +344,19 @@ def test_exact_propagator_matches_rk4_oracle():
 
 
 def test_exact_propagator_matches_vacuum_closed_form():
+    # evolve's vacuum closed form against one expm of the generator per
+    # grid time.
     rho0 = states.pure_state(np.array([0.4, 0.5, 0.3j, -0.6], dtype=complex))
     for model, t_max in ORACLE_MODELS:
         times = np.linspace(0.0, t_max, 40)
-        for m in (0, 1, 2):
-            params = dynamics.EvolutionParams(window=FockWindow(m, m))
+        for window in (FockWindow(0, 0), FockWindow(1, 1), FockWindow(2, 2),
+                       FockWindow(0, 3), FockWindow(2, 1)):
+            params = dynamics.EvolutionParams(window=window)
+            gen = dynamics.generator_matrix(params)
             exact = dynamics.evolve(rho0, params, model, times)
-            ana = dynamics.evolve_analytic_trajectory(rho0, model, times, m)
-            assert np.max(np.abs(exact.states - ana.states)) < 1e-12
+            ref = np.array([linalg.expm(model.theta(t) * gen) @ rho0.ravel()
+                            for t in times]).reshape(-1, 4, 4)
+            assert np.max(np.abs(exact.states - ref)) < 1e-12
 
 
 def test_trajectory_rows_shape():

@@ -110,7 +110,8 @@ def test_printed_rho13_breaks_mode_exchange_symmetry():
             assert np.max(np.abs(traj.states[:, 1, 0] - traj.states[:, 2, 0])) < 1e-15
         # The printed rho13 decays faster than its rho12 mirror.  Theta = t
         # for the unit Markovian rate.
-        vacuum = dynamics.evolve_analytic_trajectory(rho0, model, times, m)
+        vacuum = dynamics.evolve(rho0, dynamics.EvolutionParams(
+            window=states.FockWindow(m, m)), model, times)
         gap = max(abs(errata.rho13_strict_printed(rho0, t, m) - rho[0, 1])
                   for t, rho in zip(times, vacuum.states))
         assert gap > 1e-2

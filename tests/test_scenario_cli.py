@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -374,16 +375,28 @@ def test_cli_scenario_file_sets_modes(tmp_path):
     assert "elements=oracle" not in header
 
 
-def test_cli_import_defers_scipy_optimize():
-    # Only brute-force discord needs scipy.optimize; importing the CLI
-    # must not pay for it.
+@functools.lru_cache(maxsize=None)
+def _scipy_after_cli_import():
+    """The scipy submodules that `import twocav.cli` loads, in a fresh
+    interpreter."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(twocav.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     code = ("import sys, twocav.cli; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') "
-            "if m in sys.modules))")
+            "print(' '.join(m for m in sys.modules if m.startswith('scipy.')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return set(out.split())
+
+
+def test_cli_import_defers_scipy_optimize():
+    # Only brute-force discord needs scipy.optimize; importing the CLI
+    # must not pay for it.
+    assert not {"scipy.optimize", "scipy.integrate"} & _scipy_after_cli_import()
+
+
+def test_cli_import_leaves_out_scipy_linalg():
+    # Only the expm path of evolve (nbar > 0 or the paper closure) and the
+    # displaced-parity oracle need scipy.linalg, and they import it late.
+    assert "scipy.linalg" not in _scipy_after_cli_import()

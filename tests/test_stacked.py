@@ -1,8 +1,9 @@
 """The stacked (T, 4, 4) paths against a per-state reference, bit for bit.
 
-The reference below evaluates one 4x4 state at a time: one `expm` per grid
-time, one `eigvalsh` and one `eigvals` per state, and the Bell weights as
-four separate traces.  Every stacked value must carry the same raw bits.
+The reference below evaluates one 4x4 state at a time: one `expm` (or, for
+the vacuum reservoir, one closed-form propagator) per grid time, one
+`eigvalsh` and one `eigvals` per state, and the Bell weights as four
+separate traces.  Every stacked value must carry the same raw bits.
 """
 
 import math
@@ -31,12 +32,20 @@ def assert_same_bits(stacked, reference):
 
 # --- per-state reference -------------------------------------------------
 
+def is_vacuum(params):
+    return params.nbar == 0 and params.closure_mode == dynamics.LEAKY
+
+
 def ref_evolve(rho0, params, model, times):
     gen = dynamics.generator_matrix(params)
     rho = np.array(rho0, dtype=complex).ravel()
     out = []
     for t in times:
-        mat = (linalg.expm(dynamics.accumulated_theta(model, t) * gen) @ rho).reshape(4, 4)
+        theta = dynamics.accumulated_theta(model, t)
+        if is_vacuum(params):
+            mat = dynamics.evolve_analytic_vacuum(rho0, theta, params.window)
+        else:
+            mat = (linalg.expm(theta * gen) @ rho).reshape(4, 4)
         out.append(0.5 * (mat + mat.conj().T))
     return np.array(out)
 
@@ -128,6 +137,9 @@ CONFIGS = (
 
 @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
 def test_evolve_matches_one_expm_per_time(n):
+    # CONFIGS[0] is the vacuum reservoir: its closed form, vectorised over
+    # the grid, against one closed-form call per time.
+    assert [is_vacuum(params) for _, params, _ in CONFIGS] == [True, False, False]
     for rho0, params, model in CONFIGS:
         times = np.linspace(0.0, 1.0, n)
         traj = dynamics.evolve(rho0, params, model, times)

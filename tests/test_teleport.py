@@ -134,7 +134,7 @@ def test_closed_form_equals_general_on_balanced_inputs():
     # Full matrix equality holds when the input populations are balanced.
     rho0 = states.build_epr(INV_SQRT2, INV_SQRT2)
     for theta in np.linspace(0.0, 2.0, 9):
-        channel = dynamics.evolve_analytic_vacuum(rho0, theta, 0)
+        channel = dynamics.evolve_analytic_vacuum(rho0, theta, states.FockWindow())
         for q in (0.25, 0.7, 1.0):
             res = tp.teleport_general(channel, tp.input_state(0.0, q))
             k = tp.closed_form_matrix(*tp.closed_form_epr(channel, 0.0, q))
@@ -145,7 +145,7 @@ def test_closed_form_coefficients_match_general_entries():
     # For arbitrary p the corner and cross entries still agree entrywise.
     rho0 = states.build_epr(INV_SQRT2, INV_SQRT2)
     for theta in (0.0, 0.4, 1.1):
-        channel = dynamics.evolve_analytic_vacuum(rho0, theta, 0)
+        channel = dynamics.evolve_analytic_vacuum(rho0, theta, states.FockWindow())
         for p, q in ((0.2, 0.5), (0.99, 0.97)):
             res = tp.teleport_general(channel, tp.input_state(p, q))
             k1, k2, k3 = tp.closed_form_epr(channel, p, q)
@@ -157,7 +157,7 @@ def test_closed_form_coefficients_match_general_entries():
 def test_noon_closed_form_equals_general():
     rho0 = states.build_noon(INV_SQRT2, INV_SQRT2)
     for theta in np.linspace(0.0, 2.0, 7):
-        channel = dynamics.evolve_analytic_vacuum(rho0, theta, 0)
+        channel = dynamics.evolve_analytic_vacuum(rho0, theta, states.FockWindow())
         res = tp.teleport_general(channel, tp.input_state(0.0, 0.9))
         a = tp.closed_form_matrix(*tp.closed_form_noon(channel, 0.0, 0.9))
         assert np.max(np.abs(res.rho_out - a)) < 1e-12
