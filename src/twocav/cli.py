@@ -5,7 +5,8 @@ The scenario subcommands take only --scenario and --out: the scenario file
 is the whole configuration of a run.  Each scenario subcommand names a
 table builder in `TABLES` that turns a scenario and its evolved trajectory
 into CSV columns and rows; each builder names every column beside its
-values, and no other module names a CSV column.
+values, and no other module names a CSV column.  The builders read the
+parsed scenario's objects and pass each layer the whole trajectory stack.
 `run_scenario` evolves a scenario once and writes every requested table;
 `figures` runs the preset bundles of `FIGURES` through it.  The volume
 table holds the one convergence gate of the negativity volume,
@@ -57,10 +58,10 @@ def _trajectory_table(scn, traj):
     for i, j in np.ndindex(4, 4):
         entries["re%d%d" % (i + 1, j + 1)] = rho[:, i, j].real
         entries["im%d%d" % (i + 1, j + 1)] = rho[:, i, j].imag
-    herm = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+    # evolve returns (rho + rho^dagger)/2, which is Hermitian bit for bit.
     return _table(t=traj.times, **entries,
                   trace=np.real(np.trace(rho, axis1=-2, axis2=-1)),
-                  min_eigenvalue=np.linalg.eigvalsh(herm)[:, 0])
+                  min_eigenvalue=np.linalg.eigvalsh(rho)[:, 0])
 
 
 def _correlations_table(scn, traj):
@@ -71,33 +72,28 @@ def _correlations_table(scn, traj):
 
 
 def _wigner_table(scn, traj):
-    return _table(t=traj.times, w_origin=[
-        wigner.wigner_joint(rho, 0.0, 0.0, scn.window) for rho in traj.states])
+    return _table(t=traj.times,
+                  w_origin=wigner.wigner_joint(traj.states, 0.0, 0.0, scn.window))
 
 
 VOLUME_GATE = 0.05  # largest tolerated drift between the two resolutions
 
 
 def _volume_table(scn, traj):
-    grid = scn.grid()
-    volume, volume_half = [], []
-    for t, rho in zip(traj.times, traj.states):
-        v, v_half = wigner.volume_pair(rho, grid, scn.window)
-        # Written so that a NaN volume fails the gate too.
-        if not abs(v - v_half) <= VOLUME_GATE:
-            raise QuadratureConvergenceError(
-                "volume quadrature not converged at t = %g: %g vs %g"
-                % (t, v, v_half),
-                fine=v,
-                coarse=v_half,
-            )
-        volume.append(v)
-        volume_half.append(v_half)
+    volume, volume_half = wigner.volume_pair(traj.states, scn.grid, scn.window)
+    # Written so that a NaN volume fails the gate too.
+    failed = ~(np.abs(volume - volume_half) <= VOLUME_GATE)
+    if failed.any():
+        k = int(np.argmax(failed))
+        raise QuadratureConvergenceError(
+            "volume quadrature not converged at t = %g: %g vs %g"
+            % (traj.times[k], volume[k], volume_half[k]),
+            fine=float(volume[k]), coarse=float(volume_half[k]))
     return _table(t=traj.times, volume=volume, volume_half=volume_half)
 
 
 def _teleport_table(scn, traj):
-    inp = teleport.input_state(scn.p, scn.q, scn.index_order)
+    inp = scn.teleport_input
     closed = teleport.closed_form_epr if scn.state == "epr" else teleport.closed_form_noon
     res = teleport.teleport_general(traj.states, inp)
     c1, c2, c3 = closed(traj.states, scn.p, scn.q)
@@ -127,9 +123,7 @@ def run_scenario(scn, outputs, out_dir):
     """Evolve scn once and write one CSV per (command, name) of outputs."""
     if scn.state == "coherent" and any(cmd == "teleport" for cmd, _ in outputs):
         raise ScenarioError("teleport runs need an epr or noon channel family")
-    traj = dynamics.evolve(
-        scn.initial_state(), scn.params(), scn.model, scn.time_grid()
-    )
+    traj = dynamics.evolve(scn.rho0, scn.evolution, scn.model, scn.times)
     paths = []
     for command, name in outputs:
         build, _, note = TABLES[command]

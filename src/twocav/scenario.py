@@ -1,13 +1,17 @@
 """Plain key=value scenario files driving the command-line pipelines.
 
 A scenario file is the whole description of a run.  `parse_scenario`
-builds every object a run uses (evolution parameters, initial state,
-volume grid and teleport input) once, so each value is checked by the
-object that uses it and bad input fails before anything is evolved.
+resolves it into a `Scenario` that holds every object a run uses: the
+evolution parameters, the initial state, the time grid, the volume grid
+and the teleport input.  Each is built once, there, so each value is
+checked by the object that uses it, bad input fails before anything is
+evolved, and the table builders read the stored objects.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import dynamics, states, teleport, wigner
 from .errors import DomainError, ScenarioError
@@ -31,59 +35,47 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class Scenario:
-    """Fully-resolved run description, as parsed from a scenario file.
-
-    Built only by `parse_scenario`, which holds every default."""
+    """Resolved run: every object a run uses, built once by `parse_scenario`
+    (which holds every default).  `rho0` and `times` are read-only."""
 
     state: str
     window: states.FockWindow
-    nbar: float
     model: object
-    t_max: float
-    steps: int
-    closure: str
-    state_params: dict
-    p: float
-    q: float
-    index_order: str
-    points: int
+    evolution: dynamics.EvolutionParams
+    rho0: np.ndarray
+    times: np.ndarray
+    grid: wigner.PhaseSpaceGrid  # phase-space grid of the negativity volume
+    teleport_input: teleport.InputState
     raw: dict
 
+    def __post_init__(self):
+        self.rho0.flags.writeable = self.times.flags.writeable = False
+
+    @property
+    def p(self):
+        return self.teleport_input.p
+
+    @property
+    def q(self):
+        return self.teleport_input.q
+
+    @property
+    def index_order(self):
+        return self.teleport_input.index_order
+
+    # The benchmark harness (perfbench/) reads these two accessors.
     def initial_state(self):
-        if self.state == "epr":
-            return states.build_epr(self.state_params["a"], self.state_params["d"])
-        if self.state == "noon":
-            return states.build_noon(self.state_params["b"], self.state_params["c"])
-        return states.pure_state(
-            states.coherent_amplitudes_paper(
-                self.state_params["nbar_prime"], self.window
-            )
-        )
+        return self.rho0
 
     def params(self):
-        return dynamics.EvolutionParams(
-            window=self.window,
-            nbar=self.nbar,
-            closure_mode=self.closure,
-        )
-
-    def time_grid(self):
-        import numpy as np
-
-        if self.t_max == 0.0:
-            return np.array([0.0])
-        return np.linspace(0.0, self.t_max, self.steps)
-
-    def grid(self):
-        """Phase-space grid of the negativity volume."""
-        return wigner.PhaseSpaceGrid(extent=wigner.default_extent(self.window),
-                                     points_per_axis=self.points)
+        return self.evolution
 
     def summary(self):
         """One-line key=value record for CSV comment headers; closure and
         index_order appear even when the file leaves them at their
         defaults."""
-        items = dict(self.raw, closure=self.closure, index_order=self.index_order)
+        items = dict(self.raw, closure=self.evolution.closure_mode,
+                     index_order=self.index_order)
         return " ".join("%s=%s" % (k, items[k]) for k in sorted(items))
 
 
@@ -114,6 +106,15 @@ def _model(values):
     raise ScenarioError("model must be markovian, ohmic or kernel")
 
 
+def _initial_state(state, values, window):
+    if state == "epr":
+        return states.build_epr(*(values.get(k, _INV_SQRT2) for k in "ad"))
+    if state == "noon":
+        return states.build_noon(*(values.get(k, _INV_SQRT2) for k in "bc"))
+    return states.pure_state(
+        states.coherent_amplitudes_paper(_required(values, "nbar_prime"), window))
+
+
 def parse_scenario(text):
     table, values = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -137,12 +138,6 @@ def parse_scenario(text):
     state = _required(values, "state")
     if state not in ("epr", "noon", "coherent"):
         raise ScenarioError("state must be epr, noon or coherent")
-    if state == "epr":
-        state_params = {k: values.get(k, _INV_SQRT2) for k in ("a", "d")}
-    elif state == "noon":
-        state_params = {k: values.get(k, _INV_SQRT2) for k in ("b", "c")}
-    else:
-        state_params = {"nbar_prime": _required(values, "nbar_prime")}
 
     t_max = _required(values, "t_max")
     if t_max < 0:
@@ -158,29 +153,25 @@ def parse_scenario(text):
         raise ScenarioError("points must be even and at least 10")
 
     try:
-        scn = Scenario(
+        window = states.FockWindow(n1=values.get("n1", 0), m1=values.get("m1", 0))
+        return Scenario(
             state=state,
-            window=states.FockWindow(n1=values.get("n1", 0), m1=values.get("m1", 0)),
-            nbar=values.get("nbar", 0.0),
+            window=window,
             model=_model(values),
-            t_max=t_max,
-            steps=steps,
-            closure=values.get("closure", dynamics.LEAKY),
-            state_params=state_params,
-            p=values.get("p", 0.0),
-            q=values.get("q", 1.0),
-            index_order=values.get("index_order", teleport.PRINTED),
-            points=points,
+            evolution=dynamics.EvolutionParams(
+                window=window, nbar=values.get("nbar", 0.0),
+                closure_mode=values.get("closure", dynamics.LEAKY)),
+            rho0=_initial_state(state, values, window),
+            times=np.linspace(0.0, t_max, steps) if t_max else np.array([0.0]),
+            grid=wigner.PhaseSpaceGrid(extent=wigner.default_extent(window),
+                                       points_per_axis=points),
+            teleport_input=teleport.input_state(
+                values.get("p", 0.0), values.get("q", 1.0),
+                values.get("index_order", teleport.PRINTED)),
             raw=table,
         )
-        # Build what a run builds, so the checks of each object fire now.
-        scn.params()
-        scn.initial_state()
-        scn.grid()
-        teleport.input_state(scn.p, scn.q, scn.index_order)
     except DomainError as exc:
         raise ScenarioError(str(exc)) from exc
-    return scn
 
 
 def load_scenario(path):

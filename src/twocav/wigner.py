@@ -3,13 +3,18 @@
 The Wigner function is assembled from displaced-parity matrix elements
 K[m, m'] = <m| D(alpha) P D(alpha)^dagger |m'> in the window's absolute
 Fock indices.  For each mode the elements of the two window rows form a
-(G, 2, 2) table over G phase-space points, and one contraction turns the
-two tables and the window state into W; a single point is the G = 1 case.
+(G, 2, 2) table over G phase-space points.  `_left` contracts the state
+with the mode-A table, and `_contract`, the one product with the mode-B
+table, gives W; a single point is the G = 1 case.
 
-The negativity volume never holds the full field: it takes |W| one block
-of Im beta columns at a time and contracts each block over the other three
-axes with the same trapezoid sums as `integrate_field`, so it matches the
-unstreamed quadrature of `wigner_field` bit for bit.
+`wigner_joint` and `volume_pair` take one (4, 4) state or a (T, 4, 4)
+stack and build their tables and weights once per call; a stack gets
+arrays back, each value bit-identical to that of its state on its own.
+The negativity volume never holds the full field: it takes |W| of one
+state one block of Im beta columns at a time and contracts each block
+over the other three axes with the same trapezoid sums as
+`integrate_field`, so it matches the unstreamed quadrature of
+`wigner_field` bit for bit.
 
 The Laguerre closed form `displaced_parity` fills every table; the printed
 closed form it replaces is `errata.displaced_parity_printed`.
@@ -23,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .correlations import _value
 from .errors import ConsistencyError, DomainError, QuadratureConvergenceError
 from .states import FockWindow
 
@@ -178,48 +184,42 @@ def _k_tables(points, index):
     """Tables K[g, p, q] of shape (G, 2, 2) for rows {index, index + 1}."""
     pts = np.asarray(points, dtype=complex)
     rows = (index, index + 1)
-    return np.stack(
-        [np.stack([displaced_parity(p, q, pts) for q in rows], axis=-1)
-         for p in rows],
-        axis=-2,
-    )
+    return np.stack([displaced_parity(p, q, pts) for p in rows for q in rows],
+                    axis=-1).reshape(-1, 2, 2)
 
 
 def _left(rho, ka):
-    """(Ga, 4) factor (4/pi^2) sum_ik rho[i,j,k,l] ka[a,k,i], columns (l, j)."""
-    rho4 = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    left = (4.0 / math.pi**2) * np.einsum("ijkl,aki->alj", rho4, ka)
-    return left.reshape(len(ka), 4)
+    """(..., Ga, 4) factor (4/pi^2) sum_ik rho[..., i,j,k,l] ka[a,k,i],
+    columns (l, j), of one state or a stack."""
+    rho = np.asarray(rho, dtype=complex)
+    rho4 = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
+    left = (4.0 / math.pi**2) * np.einsum("...ijkl,aki->...alj", rho4, ka)
+    return left.reshape(left.shape[:-2] + (4,))
 
 
-def _check_residue(residue):
+def _contract(left, kb):
+    """W[..., a, b] = sum_c left[..., a, c] kb[b, c], real part, for a `_left`
+    factor and mode-B tables whose trailing (2, 2) axes flatten to
+    c = (l, j); raises if the imaginary residue exceeds IMAG_TOL."""
+    w = left @ kb.reshape(-1, 4).T
+    residue = float(np.max(np.abs(w.imag)))
     if residue > IMAG_TOL:
         raise ConsistencyError("Wigner function has imaginary residue %g" % residue)
-
-
-def _contract(rho, ka, kb):
-    """W[a, b] = (4/pi^2) sum rho[i,j,k,l] ka[a,k,i] kb[b,l,j], real part.
-
-    A 16-term contraction of rho with the mode-A tables followed by one
-    (Ga x 4)(4 x Gb) product with the mode-B tables.
-    """
-    w = _left(rho, ka) @ kb.reshape(len(kb), 4).T
-    _check_residue(float(np.max(np.abs(w.imag))))
     return w.real
 
 
 def wigner_joint(rho, alpha, beta, window=FockWindow()):
-    """Joint Wigner function W(alpha, beta) of a window state."""
-    ka = _k_tables([alpha], window.n1)
-    kb = _k_tables([beta], window.m1)
-    return float(_contract(rho, ka, kb)[0, 0])
+    """Joint Wigner function W(alpha, beta) of a window state, or an array
+    of them for a stack of states."""
+    w = _contract(_left(rho, _k_tables([alpha], window.n1)),
+                  _k_tables([beta], window.m1))
+    return _value(w[..., 0, 0])
 
 
 def _grid_points(grid):
     """Complex points of one mode's (Re, Im) grid, Re major."""
     ax = grid.axis()
-    re, im = np.meshgrid(ax, ax, indexing="ij")
-    return (re + 1j * im).ravel()
+    return (ax[:, None] + 1j * ax[None, :]).ravel()
 
 
 def wigner_field(rho, grid, window=FockWindow()):
@@ -230,10 +230,8 @@ def wigner_field(rho, grid, window=FockWindow()):
     streamed quadrature in `volume_pair`.
     """
     pts = _grid_points(grid)
-    ka = _k_tables(pts, window.n1)
-    kb = _k_tables(pts, window.m1)
-    n = grid.points_per_axis
-    return WignerField(grid=grid, values=_contract(rho, ka, kb).reshape(n, n, n, n))
+    w = _contract(_left(rho, _k_tables(pts, window.n1)), _k_tables(pts, window.m1))
+    return WignerField(grid=grid, values=w.reshape((grid.points_per_axis,) * 4))
 
 
 def _trapezoid_weights(grid):
@@ -262,34 +260,20 @@ def integrate_field(field):
 _BLOCK = 4
 
 
-def _abs_block(left, kb_cols, w):
-    """Imaginary residue and |W| summed over Re alpha, Im alpha and Re beta
-    for a few Im beta columns (same k = 4 product as `_contract`)."""
-    n = len(w)
-    block = left @ kb_cols.reshape(-1, 4).T
-    residue = float(np.max(np.abs(block.imag)))
-    return residue, _trapezoid(np.abs(block.real).reshape(n, n, n, -1), w, 3)
+def _abs_integral(left, kb, w):
+    """Trapezoidal integral of |W| for one state's (G, 4) `_left` factor,
+    streamed over blocks of Im beta columns of the (n, n, 4) mode-B tables.
 
-
-def _abs_integral(rho, grid, window):
-    """Trapezoidal integral of |W|, streamed over blocks of Im beta columns.
-
-    Only one block of the field is held at a time: it lives inside
-    `_abs_block`, so it is freed before the next one is formed.  The result
-    equals `integrate_field` of |`wigner_field`| exactly.
+    The block is formed and reduced in one expression, so it is freed before
+    the next one is formed.  The result equals `integrate_field` of
+    |`wigner_field`| exactly.
     """
-    n = grid.points_per_axis
-    pts = _grid_points(grid)
-    left = _left(rho, _k_tables(pts, window.n1))
-    kb = _k_tables(pts, window.m1).reshape(n, n, 4)
-    w = _trapezoid_weights(grid)
+    n = len(w)
     partial = np.empty(n)
-    residue = 0.0
     for s in range(0, n, _BLOCK):
         cols = slice(s, s + _BLOCK)
-        block_residue, partial[cols] = _abs_block(left, kb[:, cols], w)
-        residue = max(residue, block_residue)
-    _check_residue(residue)
+        partial[cols] = _trapezoid(
+            np.abs(_contract(left, kb[:, cols])).reshape(n, n, n, -1), w, 3)
     return float(_trapezoid(partial, w, 1))
 
 
@@ -297,13 +281,17 @@ def volume_pair(rho, grid, window=FockWindow()):
     """Negativity volume V = (1/2)(integral of |W| - 1), unclamped, at the
     grid resolution and at half of it (rounded up to even, at least 8
     points, so only grids of 10 or more points get a coarser twin); the CLI
-    gates their gap (`cli.VOLUME_GATE`)."""
+    gates their gap (`cli.VOLUME_GATE`).  A stack of states gets two arrays;
+    the tables and weights of each resolution are built once per call."""
 
     def volume_at(n_pts):
         g = PhaseSpaceGrid(extent=grid.extent, points_per_axis=n_pts)
-        return 0.5 * (_abs_integral(rho, g, window) - 1.0)
+        pts = _grid_points(g)
+        left = _left(rho, _k_tables(pts, window.n1))
+        kb = _k_tables(pts, window.m1).reshape(n_pts, n_pts, 4)
+        w = _trapezoid_weights(g)
+        v = [_abs_integral(one, kb, w) for one in left.reshape(-1, n_pts**2, 4)]
+        return _value(0.5 * (np.reshape(v, left.shape[:-2]) - 1.0))
 
-    half = grid.points_per_axis // 2
-    if half % 2:
-        half += 1
+    half = 2 * math.ceil(grid.points_per_axis / 4)  # half, rounded up to even
     return volume_at(grid.points_per_axis), volume_at(max(8, half))

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import twocav
-from twocav import cli, dynamics, scenario as sc
-from twocav.errors import ScenarioError
+from twocav import cli, dynamics, scenario as sc, teleport
+from twocav.errors import QuadratureConvergenceError, ScenarioError
 
 BASE = """
 schema = 1
@@ -25,7 +25,7 @@ steps = 10
 def test_parse_minimal_scenario():
     scn = sc.parse_scenario(BASE)
     assert scn.state == "epr"
-    assert scn.steps == 10
+    assert len(scn.times) == 10
     assert scn.window.m1 == 0
     rho = scn.initial_state()
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
@@ -95,7 +95,15 @@ def test_parse_validates_values():
 def test_comments_and_blank_lines_ignored():
     text = BASE + "\n# trailing comment\n\n"
     scn = sc.parse_scenario(text)
-    assert scn.t_max == 1.0
+    assert scn.times[-1] == 1.0
+
+
+def test_parsed_arrays_are_read_only():
+    scn = sc.parse_scenario(BASE)
+    assert scn.initial_state() is scn.rho0
+    for array in (scn.rho0, scn.times):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
 
 
 def _write(tmp_path, text):
@@ -224,6 +232,22 @@ def test_cli_nan_volume_exit_4(tmp_path):
     assert not (tmp_path / "volume.csv").exists()
 
 
+@pytest.mark.parametrize("fine, first", [([0.1, 0.2, 0.9, 0.9, 0.2], 2),
+                                         ([0.1, math.nan, 0.9, 0.2, 0.2], 1)],
+                         ids=["gap", "nan"])
+def test_volume_gate_raises_at_first_failing_time(fine, first, monkeypatch):
+    coarse = [0.1, 0.2, 0.3, 0.4, 0.2]
+    monkeypatch.setattr(cli.wigner, "volume_pair",
+                        lambda *args: (np.array(fine), np.array(coarse)))
+    times = np.linspace(0.0, 1.0, 5)
+    traj = dynamics.Trajectory(times=times, states=np.zeros((5, 4, 4), complex))
+    with pytest.raises(QuadratureConvergenceError) as err:
+        cli.TABLES["volume"][0](sc.parse_scenario(BASE), traj)
+    assert "at t = %g:" % times[first] in str(err.value)
+    assert np.array_equal([err.value.fine, err.value.coarse],
+                          [fine[first], coarse[first]], equal_nan=True)
+
+
 def test_cli_correlations_columns(tmp_path):
     path = _write(tmp_path, BASE)
     assert cli.main(["correlations", "--scenario", path,
@@ -263,6 +287,20 @@ def test_cli_teleport_columns_and_flags(tmp_path):
     assert all(row[-1] == "1" for row in rows)  # non-physical input flagged
     assert all(math.isfinite(float(row[1])) for row in rows)
     assert all(float(row[2]) > 0.0 for row in rows)
+
+
+def test_cli_teleport_builds_its_input_state_once(tmp_path, monkeypatch):
+    built = []
+    post_init = teleport.InputState.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(teleport.InputState, "__post_init__", counting_post_init)
+    path = _write(tmp_path, BASE + "p = 0.99\nq = 0.97\n")
+    assert cli.main(["teleport", "--scenario", path, "--out", str(tmp_path)]) == 0
+    assert len(built) == 1
 
 
 def test_cli_determinism(tmp_path):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import linalg
 
-from twocav import cli, correlations as co, dynamics, states, teleport as tp
+from twocav import cli, correlations as co, dynamics, states, teleport as tp, wigner as wg
 from twocav.errors import DomainError
 from twocav.states import FockWindow
 
@@ -153,6 +153,51 @@ def test_trajectory_rows_match_per_state_eigvalsh():
     for row, rho in zip(rows, traj.states):
         herm = 0.5 * (rho + rho.conj().T)
         assert_same_bits(row[-2:], [np.real(np.trace(rho)), np.linalg.eigvalsh(herm)[0]])
+
+
+# The closed form (nbar = 0, leaky) and the expm path, on windows with full
+# coherences.
+HERMITIAN_CONFIGS = CONFIGS + (
+    (None, dynamics.EvolutionParams(window=FockWindow(1, 2)), dynamics.Markovian(0.7)),
+    (None, dynamics.EvolutionParams(window=FockWindow(2, 0), nbar=1.5,
+                                    closure_mode=dynamics.PAPER_CLOSURE),
+     dynamics.NonMarkovianOhmic(r=0.1)),
+)
+
+
+@pytest.mark.parametrize("config", HERMITIAN_CONFIGS,
+                         ids=["closed_form", "expm_ohmic", "expm_kernel",
+                              "closed_form_full", "expm_thermal_full"])
+def test_evolve_output_is_hermitian_bit_for_bit(config):
+    # The trajectory table reads eigvalsh straight off these states, so a
+    # second Hermitisation must change no bit.
+    rho0, params, model = config
+    if rho0 is None:
+        rho0 = adversarial_states(np.random.default_rng(13))[0]
+    traj = dynamics.evolve(rho0, params, model, np.linspace(0.0, 1.5, CHUNK + 3))
+    rho = traj.states
+    herm = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+    assert np.array_equal(rho, rho.conj().swapaxes(-1, -2))
+    assert_same_bits(herm, rho)
+    assert_same_bits(np.linalg.eigvalsh(herm), np.linalg.eigvalsh(rho))
+
+
+@pytest.mark.parametrize("window", [FockWindow(0, 0), FockWindow(1, 2)],
+                         ids=lambda w: "n1=%d,m1=%d" % (w.n1, w.m1))
+def test_wigner_tables_match_per_state_calls(window):
+    stack = adversarial_states(np.random.default_rng(14))
+    for alpha, beta in ((0.0, 0.0), (0.3 - 0.7j, -1.1 + 0.2j)):
+        joint = wg.wigner_joint(stack, alpha, beta, window)
+        assert joint.shape == (len(stack),)
+        assert_same_bits(joint, [wg.wigner_joint(rho, alpha, beta, window)
+                                 for rho in stack])
+    # 10 points: ragged Im beta blocks on the fine grid, 8 on the coarse one.
+    grid = wg.PhaseSpaceGrid(wg.default_extent(window), 10)
+    fine, coarse = wg.volume_pair(stack, grid, window)
+    pairs = [wg.volume_pair(rho, grid, window) for rho in stack]
+    assert all(isinstance(v, float) for pair in pairs for v in pair)
+    assert_same_bits(fine, [f for f, _ in pairs])
+    assert_same_bits(coarse, [c for _, c in pairs])
 
 
 def test_correlation_report_matches_per_state_reference():

@@ -59,6 +59,11 @@ def test_projection_amplitudes_symmetric_cross_terms():
         assert amp[1] == pytest.approx(amp[2], abs=1e-15)
 
 
+def test_projection_amplitudes_reject_negative_occupation():
+    with pytest.raises(DomainError):
+        states.projection_amplitudes(-0.5, FockWindow(0, 0))
+
+
 def test_degenerate_amplitudes_raise():
     # On a shifted window the printed exponents keep weight everywhere, so
     # degeneracy only happens through the projection route at n' = 0 with

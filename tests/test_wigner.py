@@ -61,6 +61,19 @@ def test_displaced_parity_oracle_cutoff_guard():
         wg.displaced_parity_oracle(3, 3, 0.1, cutoff=10)
 
 
+def test_negative_fock_indices_raise():
+    for element in (wg.displaced_parity, wg.displaced_parity_oracle):
+        for m, mp in ((-1, 0), (0, -1)):
+            with pytest.raises(DomainError):
+                element(m, mp, 0.2)
+
+
+def test_displaced_parity_oracle_raises_when_not_converged():
+    # At |alpha| = 6 the cutoff 21 truncates D(alpha) far from convergence.
+    with pytest.raises(QuadratureConvergenceError):
+        wg.displaced_parity_oracle(0, 1, 6.0, cutoff=21)
+
+
 def test_paper_elements_flagged_off_origin():
     # The printed closed form disagrees with the oracle away from alpha=0.
     alpha = 1.0
