@@ -144,68 +144,54 @@ def _x_entries(stack):
     return zip(diag, stack[:, 0, 3].tolist(), stack[:, 1, 2].tolist())
 
 
+def _shannon(values):
+    """-sum v log2 v in bits, over the entries above 1e-15."""
+    s = 0.0
+    for v in values:
+        if v > 1e-15:
+            s -= v * math.log2(v)
+    return s
+
+
 def _discord_x_value(p, c14, c23):
     """`discord_x` of an X state with diagonal p and corners c14, c23."""
     a14, a23 = abs(c14), abs(c23)
-
     s_b = _h2(p[0] + p[2])  # marginal entropy of the measured qubit
-
-    # Eigenvalues of the X state.
-    lam = (
-        0.5 * ((p[0] + p[3]) + math.hypot(p[0] - p[3], 2.0 * a14)),
-        0.5 * ((p[0] + p[3]) - math.hypot(p[0] - p[3], 2.0 * a14)),
-        0.5 * ((p[1] + p[2]) + math.hypot(p[1] - p[2], 2.0 * a23)),
-        0.5 * ((p[1] + p[2]) - math.hypot(p[1] - p[2], 2.0 * a23)),
-    )
-    s_ab = 0.0
-    for v in lam:
-        if v > 1e-15:
-            s_ab -= v * math.log2(v)
-
+    # Eigenvalues of the X state, two per corner block.
+    lam = []
+    for x, y, c in ((p[0], p[3], a14), (p[1], p[2], a23)):
+        r = math.hypot(x - y, 2.0 * c)
+        lam += (0.5 * ((x + y) + r), 0.5 * ((x + y) - r))
     # Candidate conditional entropies after a projective measurement on B.
-    s = 0.5 * (
-        1.0
-        + math.sqrt(
-            (1.0 - 2.0 * (p[2] + p[3])) ** 2 + 4.0 * (a14 + a23) ** 2
-        )
-    )
-    d1 = _h2(s)
-    d2 = 0.0
-    for v in p:
-        if v > 1e-15:
-            d2 -= v * math.log2(v)
-    d2 -= _h2(p[0] + p[2])
-    d_min = min(d1, d2)
-
-    return s_b - s_ab + d_min
+    s = 0.5 * (1.0 + math.sqrt((1.0 - 2.0 * (p[2] + p[3])) ** 2
+                               + 4.0 * (a14 + a23) ** 2))
+    return s_b - _shannon(lam) + min(_h2(s), _shannon(p) - s_b)
 
 
 def _conditional_entropy_grid(rho, thetas, phis):
-    """S(A|{B measurement}) on a grid of projector angles, vectorized."""
+    """S(A|{B measurement}) on a grid of projector angles, vectorized; the
+    scan of `discord_bruteforce` and its Nelder-Mead objective (a one-point
+    grid) both call it.  log2 p(b) is taken once per outcome b."""
     r4 = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    tg, pg = np.meshgrid(thetas, phis, indexing="ij")
-    tg, pg = tg.ravel(), pg.ravel()
+    tg, pg = (g.ravel() for g in np.meshgrid(thetas, phis, indexing="ij"))
     # Measurement basis vectors on B for each grid point.
-    v0 = np.stack([np.cos(tg / 2.0), np.exp(1j * pg) * np.sin(tg / 2.0)], axis=1)
-    v1 = np.stack([-np.exp(-1j * pg) * np.sin(tg / 2.0), np.cos(tg / 2.0)], axis=1)
+    c, s = np.cos(tg / 2.0), np.sin(tg / 2.0)
+    v0 = np.stack([c, np.exp(1j * pg) * s], axis=1)
+    v1 = np.stack([-np.exp(-1j * pg) * s, c], axis=1)
     total = np.zeros(len(tg))
-    for v in (v0, v1):
-        block = np.einsum("gi,aibj,gj->gab", v.conj(), r4, v)
-        prob = np.real(np.trace(block, axis1=1, axis2=2))
-        # 2x2 Hermitian eigenvalues in closed form.
-        tr = np.real(block[:, 0, 0] + block[:, 1, 1])
-        det = np.real(
-            block[:, 0, 0] * block[:, 1, 1] - block[:, 0, 1] * block[:, 1, 0]
-        )
-        disc = np.sqrt(np.clip(tr**2 - 4.0 * det, 0.0, None))
-        for lam in (0.5 * (tr + disc), 0.5 * (tr - disc)):
-            mask = lam > 1e-15
-            contrib = np.zeros_like(lam)
-            # p(b) * eigenvalue-of-normalized-state, folded together:
-            # sum -lam log2(lam/p) = -lam log2 lam + lam log2 p.
-            lp = np.where(prob > 1e-15, np.log2(np.where(prob > 0, prob, 1.0)), 0.0)
-            contrib[mask] = -lam[mask] * np.log2(lam[mask]) + lam[mask] * lp[mask]
-            total += contrib
+    # log2 of an entry at or below 1e-15 may warn; np.where drops it.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for v in (v0, v1):
+            block = np.einsum("gi,aibj,gj->gab", v.conj(), r4, v)
+            # 2x2 Hermitian eigenvalues in closed form; the trace is p(b).
+            tr = np.real(block[:, 0, 0] + block[:, 1, 1])
+            det = np.real(block[:, 0, 0] * block[:, 1, 1] - block[:, 0, 1] * block[:, 1, 0])
+            disc = np.sqrt(np.clip(tr**2 - 4.0 * det, 0.0, None))
+            lp = np.where(tr > 1e-15, np.log2(tr), 0.0)
+            for lam in (0.5 * (tr + disc), 0.5 * (tr - disc)):
+                # p(b) * eigenvalue-of-normalized-state, folded together:
+                # sum -lam log2(lam/p) = -lam log2 lam + lam log2 p.
+                total += np.where(lam > 1e-15, -lam * np.log2(lam) + lam * lp, 0.0)
     return total
 
 

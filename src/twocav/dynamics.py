@@ -162,9 +162,6 @@ def accumulated_theta(model, t):
     return model.theta(t)
 
 
-_LOWER = np.tril_indices(4, -1)
-
-
 def _upper(rho, params):
     """Diagonal and upper triangle of the window system at unit rate.
 
@@ -226,28 +223,21 @@ def _upper(rho, params):
     return d
 
 
-def _rhs(rho, params):
-    """Right-hand side of the 16-equation window system at unit rate."""
-    d = _upper(rho, params)
-    # The coefficients are real, so d[j, i](rho) = d[i, j](rho^T).  Assigned,
-    # not added, so that signed zeros survive.
-    d[_LOWER] = _upper(rho.T, params).T[_LOWER]
-    return d
-
-
 def generator_matrix(params):
     """16 x 16 matrix A with vec(d rho/dt) = theta(t) * A vec(rho).
 
-    The system is linear and every term scales with the instantaneous
-    rate, so the generator is probed once from the element-wise equations
-    at unit rate.
+    Every term scales with the rate, so `_upper` probes A once per basis
+    matrix at unit rate.  The coefficients are real, so each lower row is
+    copied from its transposed upper row, a4[j, i, l, k] = a4[i, j, k, l],
+    not re-evaluated; signed zeros survive.
     """
-    a = np.empty((16, 16), dtype=complex)
-    for k in range(16):
-        basis = np.zeros(16, dtype=complex)
-        basis[k] = 1.0
-        a[:, k] = _rhs(basis.reshape(4, 4), params).ravel()
-    return a
+    a4 = np.empty((4, 4, 4, 4), dtype=complex)  # a4[i, j, k, l] = A[4i+j, 4k+l]
+    basis = np.eye(16, dtype=complex).reshape(4, 4, 4, 4)  # basis[k, l] = E_kl
+    for k, l in np.ndindex(4, 4):
+        a4[:, :, k, l] = _upper(basis[k, l], params)
+    i, j = np.tril_indices(4, -1)  # rows of the lower triangle
+    a4[i, j] = a4[j, i].swapaxes(-1, -2)
+    return a4.reshape(16, 16)
 
 
 def _time_grid(times):

@@ -31,9 +31,14 @@ _SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
 _PAULI = (_I2, _SX, _SY, _SZ)
 
 
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
 def _bell(v):
     v = np.asarray(v, dtype=complex) / math.sqrt(2.0)
-    return np.outer(v, v.conj())
+    return _read_only(np.outer(v, v.conj()))
 
 # Projector order matches the Pauli order (identity, x, y, z).
 BELL_PROJECTORS = (
@@ -44,8 +49,8 @@ BELL_PROJECTORS = (
 )
 
 # sigma_a x sigma_b at index 4a + b, and sigma_b x sigma_a at the same index.
-_KRON = np.array([np.kron(_PAULI[a], _PAULI[b]) for a in range(4) for b in range(4)])
-_KRON_SWAPPED = _KRON[[4 * b + a for a in range(4) for b in range(4)]]
+_KRON = _read_only(np.array([np.kron(sa, sb) for sa in _PAULI for sb in _PAULI]))
+_KRON_SWAPPED = _read_only(_KRON[[4 * b + a for a in range(4) for b in range(4)]])
 
 
 @dataclass(frozen=True)
@@ -70,8 +75,8 @@ class InputState:
         m[0, 0] = (1.0 - 2.0 * self.p) / 2.0
         m[3, 3] = (1.0 + 2.0 * self.p) / 2.0
         m[0, 3] = m[3, 0] = self.q / 2.0
-        # Frozen, so the derived fields cannot go stale after a change of p or q.
-        object.__setattr__(self, "matrix", m)
+        # Frozen and read-only, so the derived fields cannot go stale.
+        object.__setattr__(self, "matrix", _read_only(m))
         # The eigenvalues of m are 0, 0 and 1/2 +- hypot(p, q/2).  The closed
         # form keeps LAPACK out of scenario parsing, which builds every input.
         object.__setattr__(self, "non_physical",
@@ -80,7 +85,7 @@ class InputState:
         # every entry of a term is exact and the stacked product matches the
         # 16 separate ones bit for bit.
         right = _KRON_SWAPPED if self.index_order == PRINTED else _KRON
-        object.__setattr__(self, "corrections", tuple(_KRON @ m @ right))
+        object.__setattr__(self, "corrections", tuple(_read_only(_KRON @ m @ right)))
 
 
 def input_state(p, q, index_order=PRINTED):
@@ -146,26 +151,25 @@ def _square(x):
     return np.float_power(x, 2.0)
 
 
+def _closed_form(rho, u, corner, p, q):
+    """(c1, c2, c3) from the populations u, s = rho22 + rho33 and the corner."""
+    s = np.real(rho[..., 1, 1] + rho[..., 2, 2])
+    c1 = 0.5 * (1.0 - 2.0 * p) * _square(s) + 0.5 * (1.0 + 2.0 * p) * _square(u)
+    c2 = 2.0 * q * _square(np.real(corner))
+    return _value(c1), _value(c2), _value(u * s)
+
+
 def closed_form_epr(channel, p, q):
     """Output-state coefficients (k1, k2, k3) for an anti-diagonal X channel."""
     rho = _require_pattern(channel, _EPR_ZEROS)
-    s = np.real(rho[..., 1, 1] + rho[..., 2, 2])
-    v = np.real(rho[..., 0, 0] + rho[..., 3, 3])
-    k1 = 0.5 * (1.0 - 2.0 * p) * _square(s) + 0.5 * (1.0 + 2.0 * p) * _square(v)
-    k2 = 2.0 * q * _square(np.real(rho[..., 0, 3]))
-    k3 = v * s
-    return _value(k1), _value(k2), _value(k3)
+    return _closed_form(rho, np.real(rho[..., 0, 0] + rho[..., 3, 3]),
+                        rho[..., 0, 3], p, q)
 
 
 def closed_form_noon(channel, p, q):
     """Output-state coefficients (a1, a2, a3) for an inner-block X channel."""
     rho = _require_pattern(channel, _NOON_ZEROS)
-    s = np.real(rho[..., 1, 1] + rho[..., 2, 2])
-    r11 = np.real(rho[..., 0, 0])
-    a1 = 0.5 * (1.0 - 2.0 * p) * _square(s) + 0.5 * (1.0 + 2.0 * p) * _square(r11)
-    a2 = 2.0 * q * _square(np.real(rho[..., 1, 2]))
-    a3 = r11 * s
-    return _value(a1), _value(a2), _value(a3)
+    return _closed_form(rho, np.real(rho[..., 0, 0]), rho[..., 1, 2], p, q)
 
 
 def closed_form_matrix(c1, c2, c3):

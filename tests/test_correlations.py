@@ -101,6 +101,22 @@ def test_discord_x_matches_bruteforce():
         )
 
 
+def test_refinement_objective_reproduces_the_scan_bit_for_bit():
+    # The Nelder-Mead objective evaluates one (theta, phi) of the scan's
+    # function; at a scan point it gives the scan's bits.
+    rng = np.random.default_rng(11)
+    n = co.BRUTEFORCE_GRID
+    thetas = np.linspace(0.0, math.pi, n)
+    phis = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    pure = states.build_epr(0.6, 0.8)
+    product = np.kron(np.diag([0.7, 0.3]), np.diag([0.4, 0.6])).astype(complex)
+    for rho in (random_state(rng), random_state(rng), pure, product):
+        scan = co._conditional_entropy_grid(rho, thetas, phis).reshape(n, n)
+        for i, j in ((0, 0), (n - 1, n - 1), (17, 40), (40, 17), (n // 2, 0)):
+            point = co._conditional_entropy_grid(rho, thetas[[i]], phis[[j]])
+            assert point.tobytes() == scan[i, j:j + 1].tobytes()
+
+
 def test_discord_x_rejects_non_x_states():
     rho = np.eye(4, dtype=complex) / 4.0
     rho[0, 1] = rho[1, 0] = 0.1

@@ -40,6 +40,17 @@ def test_generator_has_no_entry_outside_its_nine_blocks(nbar, closure):
         assert not np.any(gen[~inside])
 
 
+@pytest.mark.parametrize("closure", [dynamics.LEAKY, dynamics.PAPER_CLOSURE])
+@pytest.mark.parametrize("nbar", [0.0, 0.3, 2.5])
+def test_generator_is_transpose_symmetric_bit_for_bit(nbar, closure):
+    # d rho_ji / d rho_lk = d rho_ij / d rho_kl: the coefficients are real.
+    # Compared as bytes, so a signed zero on one side only fails.
+    for window in SMALL_WINDOWS:
+        a4 = dynamics.generator_matrix(dynamics.EvolutionParams(
+            window=window, nbar=nbar, closure_mode=closure)).reshape(4, 4, 4, 4)
+        assert a4.transpose(1, 0, 3, 2).tobytes() == a4.tobytes()
+
+
 def _error(value, reference):
     return float(abs(mpmath.mpc(value.real, value.imag) - reference))
 

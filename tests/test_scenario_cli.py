@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import twocav
-from twocav import cli, dynamics, scenario as sc, teleport
+from twocav import cli, dynamics, scenario as sc, states, teleport
 from twocav.errors import QuadratureConvergenceError, ScenarioError
 
 BASE = """
@@ -104,6 +104,20 @@ def test_parsed_arrays_are_read_only():
     for array in (scn.rho0, scn.times):
         with pytest.raises(ValueError):
             array[0] = 0.0
+
+
+def test_teleport_input_is_read_only():
+    # The matrix, its correction terms and the Bell projectors are computed
+    # once and shared; a write would leave the corrections stale.
+    inp = sc.parse_scenario(BASE + "p = 0.1\nq = 0.5\n").teleport_input
+    for array in (inp.matrix, inp.corrections[5], teleport.BELL_PROJECTORS[2],
+                  teleport._KRON, teleport._KRON_SWAPPED):
+        with pytest.raises(ValueError):
+            array[0, 3] = 0.45
+    channel = states.build_epr(0.6, 0.8)
+    fresh = teleport.input_state(0.1, 0.5)
+    assert (teleport.teleport_general(channel, inp).fidelity
+            == teleport.teleport_general(channel, fresh).fidelity)
 
 
 def _write(tmp_path, text):
