@@ -5,6 +5,9 @@ ordering |00>, |01>, |10>, |11>.  X-structured states get closed-form
 concurrence and discord; a brute-force discord minimization over projective
 measurements on the second subsystem serves as the oracle and as the
 fallback of `correlation_report` for states that are not X-structured.
+Brute force works on the state's real Bloch coefficients (t = Tr rho, a, b,
+T): a 64 x 64 scan over the measurement direction seeds a 5 x 5 stencil
+search, both vectorised over points, with no scipy.
 Each measure has one production implementation; the printed discord
 candidate lives in `errata`.
 
@@ -12,9 +15,9 @@ candidate lives in `errata`.
 take one (4, 4) state or a (T, 4, 4) trajectory stack; a stack gets one
 stacked LAPACK call per measure and arrays back, a single state floats.
 Each stacked value is bit-identical to the value of its state on its own.
-The discord stays a per-state scalar evaluation: its `math.log2` and
-`math.hypot` are libm's, which numpy's vectorised transcendentals do not
-reproduce bit for bit.
+The closed-form discord stays a per-state scalar evaluation: its
+`math.log2` and `math.hypot` are libm's, which numpy's vectorised
+transcendentals do not reproduce bit for bit.
 """
 
 import math
@@ -168,63 +171,99 @@ def _discord_x_value(p, c14, c23):
     return s_b - _shannon(lam) + min(_h2(s), _shannon(p) - s_b)
 
 
-def _conditional_entropy_grid(rho, thetas, phis):
-    """S(A|{B measurement}) on a grid of projector angles, vectorized; the
-    scan of `discord_bruteforce` and its Nelder-Mead objective (a one-point
-    grid) both call it.  log2 p(b) is taken once per outcome b."""
-    r4 = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    tg, pg = (g.ravel() for g in np.meshgrid(thetas, phis, indexing="ij"))
-    # Measurement basis vectors on B for each grid point.
-    c, s = np.cos(tg / 2.0), np.sin(tg / 2.0)
-    v0 = np.stack([c, np.exp(1j * pg) * s], axis=1)
-    v1 = np.stack([-np.exp(-1j * pg) * s, c], axis=1)
-    total = np.zeros(len(tg))
+_PAULI = (np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), _SY,
+          np.diag([1.0, -1.0]))
+_PAULI_PAIRS = np.array([np.kron(u, v) for u in _PAULI for v in _PAULI])
+
+
+def _bloch_coefficients(rho):
+    """c[i, j] = Tr(rho sigma_i (x) sigma_j), sigma_0 = I, as a (4, 4, 1)
+    column: c[0, 0] = t = Tr rho, c[1:, 0] = a, c[0, 1:] = b, c[1:, 1:] = T,
+    and rho = (1/4) sum_ij c[i, j] sigma_i (x) sigma_j.  t stays Tr rho, so
+    a trace-losing window keeps its unnormalised meaning."""
+    rho = np.asarray(rho, dtype=complex)
+    return np.real(np.einsum("kij,ji->k", _PAULI_PAIRS, rho)).reshape(4, 4, 1)
+
+
+_SIGNS = np.array([1.0, -1.0])
+
+
+def _conditional_entropy(c, theta, phi):
+    """S(A|{B measured along n}) for the Bloch coefficients c at the points
+    (theta, phi), broadcast against each other and raveled;
+    n = (sin th cos ph, sin th sin ph, cos th).
+
+    Outcome +/- leaves A in the block (1/4)[(t +/- b.n) I + (a +/- T n).sigma]
+    of trace p = (t +/- b.n)/2 and eigenvalues (1/4)[(t +/- b.n) +/- |a +/- T n|]
+    (Luo, PRA 77, 042303 (2008)).  Every product and sum is elementwise and
+    written out term by term, so a point's bits do not depend on how many
+    points share the call."""
+    st = np.sin(theta)
+    n = np.stack(np.broadcast_arrays(st * np.cos(phi), st * np.sin(phi),
+                                     np.cos(theta))).reshape(3, -1)
+    m = c[:, 1:] * n  # (4, 3, N); its row sums are b.n and T n
+    # (outcome, 4, N): (t, a) + (b.n, T n) and (t, a) - (b.n, T n).
+    v = c[:, 0] + _SIGNS[:, None, None] * (m[:, 0] + m[:, 1] + m[:, 2])
+    tr = 0.5 * v[:, 0]  # p(outcome)
+    u2 = v[:, 1:] * v[:, 1:]
+    disc = 0.5 * np.sqrt(u2[:, 0] + u2[:, 1] + u2[:, 2])
+    lam = 0.5 * (tr[:, None] + _SIGNS[:, None] * disc[:, None])  # (outcome, +/-, N)
     # log2 of an entry at or below 1e-15 may warn; np.where drops it.
     with np.errstate(divide="ignore", invalid="ignore"):
-        for v in (v0, v1):
-            block = np.einsum("gi,aibj,gj->gab", v.conj(), r4, v)
-            # 2x2 Hermitian eigenvalues in closed form; the trace is p(b).
-            tr = np.real(block[:, 0, 0] + block[:, 1, 1])
-            det = np.real(block[:, 0, 0] * block[:, 1, 1] - block[:, 0, 1] * block[:, 1, 0])
-            disc = np.sqrt(np.clip(tr**2 - 4.0 * det, 0.0, None))
-            lp = np.where(tr > 1e-15, np.log2(tr), 0.0)
-            for lam in (0.5 * (tr + disc), 0.5 * (tr - disc)):
-                # p(b) * eigenvalue-of-normalized-state, folded together:
-                # sum -lam log2(lam/p) = -lam log2 lam + lam log2 p.
-                total += np.where(lam > 1e-15, -lam * np.log2(lam) + lam * lp, 0.0)
-    return total
+        lp = np.where(tr > 1e-15, np.log2(tr), 0.0)[:, None]
+        # p(b) * eigenvalue-of-normalized-state, folded together:
+        # sum -lam log2(lam/p) = -lam log2 lam + lam log2 p.
+        e = np.where(lam > 1e-15, -lam * np.log2(lam) + lam * lp, 0.0)
+    return e[0, 0] + e[0, 1] + e[1, 0] + e[1, 1]
+
+
+def _conditional_entropy_grid(rho, thetas, phis):
+    """`_conditional_entropy` of rho on the (thetas x phis) grid, raveled
+    with theta the slow index."""
+    return _conditional_entropy(_bloch_coefficients(rho),
+                                np.asarray(thetas)[:, None], np.asarray(phis)[None, :])
 
 
 BRUTEFORCE_GRID = 64  # points per Bloch angle in the seeding scan
+_STENCIL = np.arange(-2.0, 3.0)  # offsets of the 5 x 5 refinement stencil
+_REFINE_STEPS = 200  # cap on refinement steps; 33 halvings plus the moves, 33-94 seen
+
+
+def _grid_minimum(c, thetas, phis):
+    """The lowest `_conditional_entropy` on the (thetas x phis) grid, and
+    its theta and phi."""
+    vals = _conditional_entropy(c, thetas[:, None], phis[None, :])
+    k = int(np.argmin(vals))
+    return vals[k], thetas[k // len(phis)], phis[k % len(phis)]
 
 
 def discord_bruteforce(rho):
     """Quantum discord via direct minimization over projective B measurements.
 
     A (BRUTEFORCE_GRID x BRUTEFORCE_GRID) scan over the Bloch angles seeds a
-    Nelder-Mead refinement of the conditional entropy.
+    pattern search: each step evaluates a 5 x 5 stencil around the current
+    point, moves to its best point if that is strictly lower and halves the
+    step otherwise, until the theta step is below 1e-11.
     """
     rho = np.asarray(rho, dtype=complex)
     rho_b = np.einsum("aiaj->ij", rho.reshape(2, 2, 2, 2))
     s_b = von_neumann_entropy(rho_b)
     s_ab = von_neumann_entropy(rho)
 
+    c = _bloch_coefficients(rho)
     thetas = np.linspace(0.0, math.pi, BRUTEFORCE_GRID)
     phis = np.linspace(0.0, 2.0 * math.pi, BRUTEFORCE_GRID, endpoint=False)
-    vals = _conditional_entropy_grid(rho, thetas, phis)
-    k = int(np.argmin(vals))
-    t0, p0 = thetas[k // BRUTEFORCE_GRID], phis[k % BRUTEFORCE_GRID]
-
-    def objective(x):
-        return _conditional_entropy_grid(rho, np.array([x[0]]), np.array([x[1]]))[0]
-
-    from scipy import optimize  # deferred: only brute-force discord needs it
-
-    res = optimize.minimize(
-        objective, [t0, p0], method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-12}
-    )
-    s_cond = min(float(vals[k]), float(res.fun))
-    return s_b - s_ab + s_cond
+    best, theta, phi = _grid_minimum(c, thetas, phis)
+    d_theta, d_phi = thetas[1], phis[1]
+    for _ in range(_REFINE_STEPS):
+        if d_theta < 1e-11:
+            break
+        val, t, p = _grid_minimum(c, theta + d_theta * _STENCIL, phi + d_phi * _STENCIL)
+        if val < best:
+            best, theta, phi = val, t, p
+        else:
+            d_theta, d_phi = 0.5 * d_theta, 0.5 * d_phi
+    return s_b - s_ab + float(best)
 
 
 @dataclass

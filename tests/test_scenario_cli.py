@@ -448,6 +448,29 @@ def test_cli_import_defers_scipy_optimize():
     assert not {"scipy.optimize", "scipy.integrate"} & _scipy_after_cli_import()
 
 
+def test_cli_coherent_correlations_never_load_scipy_optimize(tmp_path):
+    # Every coherent state falls back to brute-force discord, which needs
+    # no scipy.optimize either.
+    path = _write(tmp_path, BASE.replace(
+        "state = epr", "state = coherent\nnbar_prime = 1.0").replace(
+        "steps = 10", "steps = 3"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(twocav.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys; from twocav import cli, correlations as co\n"
+        "calls = []\n"
+        "brute = co.discord_bruteforce\n"
+        "co.discord_bruteforce = lambda rho: calls.append(1) or brute(rho)\n"
+        "code = cli.main(['correlations', '--scenario', %r, '--out', %r])\n"
+        "print(code, len(calls), 'scipy.optimize' in sys.modules)\n"
+        % (path, str(tmp_path)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1].split() == ["0", "3", "False"]
+
+
 def test_cli_import_leaves_out_scipy_linalg():
     # Only the expm path of evolve (nbar > 0 or the paper closure) and the
     # displaced-parity oracle need scipy.linalg, and they import it late.
