@@ -17,6 +17,7 @@ directory that cannot be created or written), 3 integration failure,
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -223,8 +224,13 @@ def build_parser():
     return parser
 
 
+# Built on the first `main` call, not at import, and shared by later calls:
+# parse_args keeps no state between calls.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

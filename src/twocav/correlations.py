@@ -7,7 +7,9 @@ measurements on the second subsystem serves as the oracle and as the
 fallback of `correlation_report` for states that are not X-structured.
 Brute force works on the state's real Bloch coefficients (t = Tr rho, a, b,
 T): a 64 x 64 scan over the measurement direction seeds a 5 x 5 stencil
-search, both vectorised over points, with no scipy.
+search, both vectorised over points, with no scipy.  Each stencil call
+evaluates the current step and every halving still allowed as one batch of
+levels, and returns the bits of the one-step-at-a-time search.
 Each measure has one production implementation; the printed discord
 candidate lives in `errata`.
 
@@ -177,15 +179,12 @@ _PAULI_PAIRS = np.array([np.kron(u, v) for u in _PAULI for v in _PAULI])
 
 
 def _bloch_coefficients(rho):
-    """c[i, j] = Tr(rho sigma_i (x) sigma_j), sigma_0 = I, as a (4, 4, 1)
-    column: c[0, 0] = t = Tr rho, c[1:, 0] = a, c[0, 1:] = b, c[1:, 1:] = T,
-    and rho = (1/4) sum_ij c[i, j] sigma_i (x) sigma_j.  t stays Tr rho, so
+    """c[i][j] = Tr(rho sigma_i (x) sigma_j), sigma_0 = I, as rows of Python
+    floats: c[0][0] = t = Tr rho, c[1:][0] = a, c[0][1:] = b, c[1:][1:] = T,
+    and rho = (1/4) sum_ij c[i][j] sigma_i (x) sigma_j.  t stays Tr rho, so
     a trace-losing window keeps its unnormalised meaning."""
     rho = np.asarray(rho, dtype=complex)
-    return np.real(np.einsum("kij,ji->k", _PAULI_PAIRS, rho)).reshape(4, 4, 1)
-
-
-_SIGNS = np.array([1.0, -1.0])
+    return np.real(np.einsum("kij,ji->k", _PAULI_PAIRS, rho)).reshape(4, 4).tolist()
 
 
 def _conditional_entropy(c, theta, phi):
@@ -199,22 +198,21 @@ def _conditional_entropy(c, theta, phi):
     written out term by term, so a point's bits do not depend on how many
     points share the call."""
     st = np.sin(theta)
-    n = np.stack(np.broadcast_arrays(st * np.cos(phi), st * np.sin(phi),
-                                     np.cos(theta))).reshape(3, -1)
-    m = c[:, 1:] * n  # (4, 3, N); its row sums are b.n and T n
-    # (outcome, 4, N): (t, a) + (b.n, T n) and (t, a) - (b.n, T n).
-    v = c[:, 0] + _SIGNS[:, None, None] * (m[:, 0] + m[:, 1] + m[:, 2])
-    tr = 0.5 * v[:, 0]  # p(outcome)
-    u2 = v[:, 1:] * v[:, 1:]
-    disc = 0.5 * np.sqrt(u2[:, 0] + u2[:, 1] + u2[:, 2])
-    lam = 0.5 * (tr[:, None] + _SIGNS[:, None] * disc[:, None])  # (outcome, +/-, N)
+    n0, n1, n2 = st * np.cos(phi), st * np.sin(phi), np.cos(theta)
+    s = [c1 * n0 + c2 * n1 + c3 * n2 for _, c1, c2, c3 in c]  # b.n, then T n
+    e = []  # per outcome and eigenvalue sign: ++, +-, -+, --
     # log2 of an entry at or below 1e-15 may warn; np.where drops it.
     with np.errstate(divide="ignore", invalid="ignore"):
-        lp = np.where(tr > 1e-15, np.log2(tr), 0.0)[:, None]
-        # p(b) * eigenvalue-of-normalized-state, folded together:
-        # sum -lam log2(lam/p) = -lam log2 lam + lam log2 p.
-        e = np.where(lam > 1e-15, -lam * np.log2(lam) + lam * lp, 0.0)
-    return e[0, 0] + e[0, 1] + e[1, 0] + e[1, 1]
+        # Outcome +/-: (t, a) + (b.n, T n), then (t, a) - (b.n, T n).
+        for v in ([r[0] + x for r, x in zip(c, s)], [r[0] - x for r, x in zip(c, s)]):
+            tr = 0.5 * v[0]  # p(outcome)
+            disc = 0.5 * np.sqrt(v[1] * v[1] + v[2] * v[2] + v[3] * v[3])
+            lp = np.where(tr > 1e-15, np.log2(tr), 0.0)
+            for lam in (0.5 * (tr + disc), 0.5 * (tr - disc)):
+                # p(b) * eigenvalue-of-normalized-state, folded together:
+                # -lam log2(lam/p) = -lam log2 lam + lam log2 p.
+                e.append(np.where(lam > 1e-15, -lam * np.log2(lam) + lam * lp, 0.0))
+    return (e[0] + e[1] + e[2] + e[3]).ravel()
 
 
 def _conditional_entropy_grid(rho, thetas, phis):
@@ -226,15 +224,14 @@ def _conditional_entropy_grid(rho, thetas, phis):
 
 BRUTEFORCE_GRID = 64  # points per Bloch angle in the seeding scan
 _STENCIL = np.arange(-2.0, 3.0)  # offsets of the 5 x 5 refinement stencil
-_REFINE_STEPS = 200  # cap on refinement steps; 33 halvings plus the moves, 33-94 seen
-
-
-def _grid_minimum(c, thetas, phis):
-    """The lowest `_conditional_entropy` on the (thetas x phis) grid, and
-    its theta and phi."""
-    vals = _conditional_entropy(c, thetas[:, None], phis[None, :])
-    k = int(np.argmin(vals))
-    return vals[k], thetas[k // len(phis)], phis[k % len(phis)]
+# Cap on refinement steps.  A search takes 33 halvings plus its moves: 33-94
+# steps seen, in 1-62 stencil calls (6.7 per state on the scenario sweep,
+# where one step per call took 38.7).
+_REFINE_STEPS = 200
+# 2**-j: scaling a step by it is exact, so the step of level j is bit for
+# bit the step after j halvings.  The scan's step, pi / 63, falls below
+# 1e-11 within 33 halvings, so 64 levels are more than any search uses.
+_HALVINGS = np.ldexp(1.0, -np.arange(64))
 
 
 def discord_bruteforce(rho):
@@ -243,7 +240,11 @@ def discord_bruteforce(rho):
     A (BRUTEFORCE_GRID x BRUTEFORCE_GRID) scan over the Bloch angles seeds a
     pattern search: each step evaluates a 5 x 5 stencil around the current
     point, moves to its best point if that is strictly lower and halves the
-    step otherwise, until the theta step is below 1e-11.
+    step otherwise, until the theta step is below 1e-11 or after
+    _REFINE_STEPS steps.  A halving keeps the point, so one call evaluates
+    the stencils of the current step and of every halving still allowed
+    (levels 0, 1, ...), and the search moves at the first level with a
+    lower point: the point and step that one step at a time would reach.
     """
     rho = np.asarray(rho, dtype=complex)
     rho_b = np.einsum("aiaj->ij", rho.reshape(2, 2, 2, 2))
@@ -253,16 +254,29 @@ def discord_bruteforce(rho):
     c = _bloch_coefficients(rho)
     thetas = np.linspace(0.0, math.pi, BRUTEFORCE_GRID)
     phis = np.linspace(0.0, 2.0 * math.pi, BRUTEFORCE_GRID, endpoint=False)
-    best, theta, phi = _grid_minimum(c, thetas, phis)
+    vals = _conditional_entropy(c, thetas[:, None], phis[None, :])
+    i = int(np.argmin(vals))
+    best, theta, phi = vals[i], thetas[i // BRUTEFORCE_GRID], phis[i % BRUTEFORCE_GRID]
     d_theta, d_phi = thetas[1], phis[1]
-    for _ in range(_REFINE_STEPS):
-        if d_theta < 1e-11:
-            break
-        val, t, p = _grid_minimum(c, theta + d_theta * _STENCIL, phi + d_phi * _STENCIL)
-        if val < best:
-            best, theta, phi = val, t, p
-        else:
-            d_theta, d_phi = 0.5 * d_theta, 0.5 * d_phi
+    steps = 0
+    while steps < _REFINE_STEPS:
+        # Level j runs while its theta step stays >= 1e-11 and its step
+        # number, steps + j, stays within the cap.
+        k = int(np.count_nonzero(d_theta * _HALVINGS[:_REFINE_STEPS - steps] >= 1e-11))
+        scale = _HALVINGS[:k, None]
+        ths = theta + (d_theta * scale) * _STENCIL  # (level, stencil point)
+        phs = phi + (d_phi * scale) * _STENCIL
+        vals = _conditional_entropy(c, ths[:, :, None], phs[:, None, :]).reshape(k, -1)
+        at = np.argmin(vals, axis=1)
+        lower = (vals[np.arange(k), at] < best).tolist()
+        if True not in lower:
+            break  # every halving left taken: the step or the cap ran out
+        # Move at the first lower level, keeping its step (>= 1e-11).
+        j = lower.index(True)
+        steps += j + 1
+        d_theta, d_phi = d_theta * _HALVINGS[j], d_phi * _HALVINGS[j]
+        a, b = divmod(int(at[j]), len(_STENCIL))
+        best, theta, phi = vals[j, at[j]], ths[j, a], phs[j, b]
     return s_b - s_ab + float(best)
 
 

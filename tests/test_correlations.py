@@ -232,8 +232,8 @@ def test_discord_x_finds_the_interior_optimum():
 
 
 def test_refinement_objective_reproduces_the_scan_bit_for_bit():
-    # The Nelder-Mead objective evaluates one (theta, phi) of the scan's
-    # function; at a scan point it gives the scan's bits.
+    # The stencil refinement evaluates the scan's function at points off the
+    # scan grid; at a scan point it gives the scan's bits.
     rng = np.random.default_rng(11)
     n = co.BRUTEFORCE_GRID
     thetas = np.linspace(0.0, math.pi, n)
@@ -245,6 +245,118 @@ def test_refinement_objective_reproduces_the_scan_bit_for_bit():
         for i, j in ((0, 0), (n - 1, n - 1), (17, 40), (40, 17), (n // 2, 0)):
             point = co._conditional_entropy_grid(rho, thetas[[i]], phis[[j]])
             assert point.tobytes() == scan[i, j:j + 1].tobytes()
+
+
+_SIGNS = np.array([1.0, -1.0])
+
+
+def _stacked_conditional_entropy(c, theta, phi):
+    """Oracle for `co._conditional_entropy`: the same operations in the same
+    order, on stacked (outcome, row, point) arrays with the outcome signs
+    as a multiplier."""
+    c = np.reshape(c, (4, 4, 1))
+    st = np.sin(theta)
+    n = np.stack(np.broadcast_arrays(st * np.cos(phi), st * np.sin(phi),
+                                     np.cos(theta))).reshape(3, -1)
+    m = c[:, 1:] * n
+    v = c[:, 0] + _SIGNS[:, None, None] * (m[:, 0] + m[:, 1] + m[:, 2])
+    tr = 0.5 * v[:, 0]
+    u2 = v[:, 1:] * v[:, 1:]
+    disc = 0.5 * np.sqrt(u2[:, 0] + u2[:, 1] + u2[:, 2])
+    lam = 0.5 * (tr[:, None] + _SIGNS[:, None] * disc[:, None])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lp = np.where(tr > 1e-15, np.log2(tr), 0.0)[:, None]
+        e = np.where(lam > 1e-15, -lam * np.log2(lam) + lam * lp, 0.0)
+    return e[0, 0] + e[0, 1] + e[1, 0] + e[1, 1]
+
+
+def _grid_minimum(c, thetas, phis):
+    vals = _stacked_conditional_entropy(c, thetas[:, None], phis[None, :])
+    k = int(np.argmin(vals))
+    return vals[k], thetas[k // len(phis)], phis[k % len(phis)]
+
+
+def _sequential_discord(rho):
+    """Oracle for `co.discord_bruteforce`: the same scan and stencil search,
+    one step per stencil evaluation, on the stacked objective."""
+    rho = np.asarray(rho, dtype=complex)
+    rho_b = np.einsum("aiaj->ij", rho.reshape(2, 2, 2, 2))
+    s_b = co.von_neumann_entropy(rho_b)
+    s_ab = co.von_neumann_entropy(rho)
+    c = co._bloch_coefficients(rho)
+    thetas = np.linspace(0.0, math.pi, co.BRUTEFORCE_GRID)
+    phis = np.linspace(0.0, 2.0 * math.pi, co.BRUTEFORCE_GRID, endpoint=False)
+    best, theta, phi = _grid_minimum(c, thetas, phis)
+    d_theta, d_phi = thetas[1], phis[1]
+    for _ in range(co._REFINE_STEPS):
+        if d_theta < 1e-11:
+            break
+        val, t, p = _grid_minimum(c, theta + d_theta * co._STENCIL,
+                                  phi + d_phi * co._STENCIL)
+        if val < best:
+            best, theta, phi = val, t, p
+        else:
+            d_theta, d_phi = 0.5 * d_theta, 0.5 * d_phi
+    return s_b - s_ab + float(best)
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_adversarial_states())
+def test_bruteforce_matches_the_sequential_search_bit_for_bit(rho):
+    n = co.BRUTEFORCE_GRID
+    thetas = np.linspace(0.0, math.pi, n)
+    phis = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    scan = co._conditional_entropy_grid(rho, thetas, phis)
+    c = co._bloch_coefficients(rho)
+    oracle = _stacked_conditional_entropy(c, thetas[:, None], phis[None, :])
+    assert scan.tobytes() == oracle.tobytes()
+    assert _bits(co.discord_bruteforce(rho)) == _bits(_sequential_discord(rho))
+
+
+def _coherent_window_states():
+    """Coherent window states on six windows, at t = 0 and evolved with a
+    seeded nbar and gamma_m, and the non-positive state of the
+    coherent-positivity defect (minimum eigenvalue -0.0166 at t = 0.86)."""
+    rng = np.random.default_rng(20)
+    out = []
+    for n1, m1 in ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (2, 0)):
+        window = states.FockWindow(n1, m1)
+        rho0 = states.pure_state(states.coherent_amplitudes_paper(
+            float(rng.uniform(0.3, 1.5)), window))
+        params = dynamics.EvolutionParams(window=window, nbar=float(rng.uniform(0.0, 0.3)))
+        traj = dynamics.evolve(rho0, params, dynamics.Markovian(float(rng.uniform(0.5, 1.5))),
+                               [0.0, float(rng.uniform(0.5, 3.0))])
+        out += list(traj.states)
+    window = states.FockWindow(0, 0)
+    rho0 = states.pure_state(states.coherent_amplitudes_paper(1.440556, window))
+    traj = dynamics.evolve(rho0, dynamics.EvolutionParams(window=window),
+                           dynamics.Markovian(1.011822), [0.0, 0.86])
+    return out + [traj.states[-1]]
+
+
+def test_bruteforce_matches_the_sequential_search_on_coherent_windows():
+    rhos = _coherent_window_states()
+    assert np.linalg.eigvalsh(rhos[-1])[0] < -0.016
+    for rho in rhos:
+        assert _bits(co.discord_bruteforce(rho)) == _bits(_sequential_discord(rho))
+
+
+@pytest.mark.parametrize("cap", [1, 5, 33, 34, 40])
+def test_bruteforce_stops_at_the_step_cap_as_the_sequential_search_does(cap, monkeypatch):
+    # A batch of halvings must not run past the cap.  No state seen needs
+    # the production cap of 200, so only a lowered one reaches this branch.
+    rng = np.random.default_rng(21)
+    rhos = [random_state(rng) for _ in range(4)] + _coherent_window_states()[-3:]
+    uncapped = [co.discord_bruteforce(rho) for rho in rhos]
+    monkeypatch.setattr(co, "_REFINE_STEPS", cap)
+    capped = [co.discord_bruteforce(rho) for rho in rhos]
+    assert list(map(_bits, capped)) == list(map(_bits, map(_sequential_discord, rhos)))
+    if cap < 33:  # the theta step cannot reach 1e-11 in fewer steps
+        assert capped != uncapped
 
 
 def test_discord_x_rejects_non_x_states():

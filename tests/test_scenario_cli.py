@@ -171,6 +171,18 @@ def test_cli_bad_scenario_exit_2(tmp_path, capsys):
                              "--out", str(tmp_path)]) == 2
 
 
+def test_cli_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    path = _write(tmp_path, BASE)
+    good = ["evolve", "--scenario", path, "--out", str(tmp_path)]
+    for bad in (["evolve", "--out", str(tmp_path)], ["nonsense"],
+                ["figures", "fig99"], ["evolve", "--scenario"]):
+        assert cli.main(bad) == 2
+        assert cli.main(good) == 0
+    assert (tmp_path / "trajectory.csv").exists()
+    assert cli._parser() is cli._parser()
+    capsys.readouterr()
+
+
 def test_kernel_model_from_scenario_file(tmp_path, capsys):
     kernel = BASE.replace("model = markovian", "model = kernel")
     scn = sc.parse_scenario(kernel + "omega_c = 1.5\n")
