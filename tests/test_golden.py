@@ -1,0 +1,55 @@
+"""Every figure CSV against the checked-in digest tests/golden/figures.json.
+
+On the machine the digest was written on (same fingerprint) each file must
+hash the same.  On every machine each column's row count must match and
+its min, max and sum must agree within a relative 1e-10, measured against
+the column's own scale so that rounding-level entries near 0 do not count.
+Regenerate the digest with `python -m twocav.digest`.
+"""
+
+import json
+import math
+import os
+
+import pytest
+
+from twocav import digest
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "figures.json")
+REL_TOL = 1e-10
+
+
+def _close(got, want, scale):
+    if math.isnan(want):
+        return math.isnan(got)
+    return abs(got - want) <= REL_TOL * max(abs(got), abs(want), scale)
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)
+    return golden, digest.figure_digest(str(tmp_path_factory.mktemp("figures")))
+
+
+def test_figures_hash_as_in_the_golden_digest(digests):
+    golden, current = digests
+    assert sorted(current["figures"]) == sorted(golden["figures"])
+    assert len(golden["figures"]) == 22
+    if current["fingerprint"] != golden["fingerprint"]:
+        pytest.skip("digest written on another machine: %s" % golden["fingerprint"])
+    for name, want in golden["figures"].items():
+        assert current["figures"][name]["sha256"] == want["sha256"], name
+
+
+def test_figure_columns_match_the_golden_summaries(digests):
+    golden, current = digests
+    for name, want in golden["figures"].items():
+        got = current["figures"][name]["columns"]
+        assert sorted(got) == sorted(want["columns"]), name
+        for column, w in want["columns"].items():
+            g = got[column]
+            assert g["rows"] == w["rows"], (name, column)
+            scale = max(abs(float(w["min"])), abs(float(w["max"])))
+            for key in ("min", "max", "sum"):
+                assert _close(float(g[key]), float(w[key]), scale), (name, column, key)
