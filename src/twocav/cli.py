@@ -39,12 +39,13 @@ EXIT_QUADRATURE = 4
 
 
 def write_csv(path, comment, header, rows):
-    # %.17g round-trips every float and writes booleans as 1 and 0.
+    # %.17g round-trips every float and writes booleans as 1 and 0; one
+    # format string per table formats a whole row at once.
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write("# %s\n" % comment)
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map("%.17g".__mod__, row)) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 def _table(**columns):

@@ -487,3 +487,29 @@ def test_cli_import_leaves_out_scipy_linalg():
     # Only the expm path of evolve (nbar > 0 or the paper closure) and the
     # displaced-parity oracle need scipy.linalg, and they import it late.
     assert "scipy.linalg" not in _scipy_after_cli_import()
+
+
+def _reference_write_csv(path, comment, header, rows):
+    # The field-by-field writer that the one-format-per-row writer replaced.
+    with open(path, "w") as fh:
+        fh.write("# %s\n" % comment)
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map("%.17g".__mod__, row)) + "\n")
+
+
+def test_write_csv_matches_the_field_by_field_writer(tmp_path):
+    special = [0.0, -0.0, True, False, 0, -7, 2**60, 5e-324, -2.2250738585072e-308,
+               math.inf, -math.inf, math.nan, 0.1, -1.0 / 3.0, 1e300, np.float64(2.5)]
+    rng = np.random.default_rng(3)
+    rows = [special] + [list(r) for r in rng.normal(size=(40, len(special))).tolist()]
+    rows.append([bool(x > 0) for x in rows[1]])
+    header = ["c%d" % k for k in range(len(special))]
+    for write, name in ((cli.write_csv, "new.csv"), (_reference_write_csv, "old.csv")):
+        write(str(tmp_path / name), "scenario", header, rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert "-0,1,0,0,-7," in (tmp_path / "new.csv").read_text()
+    # A table with no rows writes the comment and the header only.
+    cli.write_csv(str(tmp_path / "empty.csv"), "scenario", header, [])
+    _reference_write_csv(str(tmp_path / "empty_old.csv"), "scenario", header, [])
+    assert (tmp_path / "empty.csv").read_bytes() == (tmp_path / "empty_old.csv").read_bytes()
