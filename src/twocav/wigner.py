@@ -8,13 +8,22 @@ with the mode-A table, and `_contract`, the one product with the mode-B
 table, gives W; a single point is the G = 1 case.
 
 `wigner_joint` and `volume_pair` take one (4, 4) state or a (T, 4, 4)
-stack and build their tables and weights once per call; a stack gets
-arrays back, each value bit-identical to that of its state on its own.
-The negativity volume never holds the full field: it takes |W| of one
-state one block of Im beta columns at a time and contracts each block
-over the other three axes with the same trapezoid sums as
-`integrate_field`, so it matches the unstreamed quadrature of
-`wigner_field` bit for bit.
+stack; a stack gets arrays back, each value bit-identical to that of its
+state on its own.
+
+`volume_pair` decides its path state by state, from exact zeros.  An
+exactly Hermitian state whose only coherence is rho14 (EPR type) or rho23
+(NOON type) has W = f + g cos(phi_a +- phi_b - chi) in polar coordinates,
+so the two phase angles integrate in closed form and the two radii are
+integrated over the disk of radius L per mode with Gauss-Legendre panels
+that end on the kinks of |W| (see the X-state section below); `points` is
+then the number of nodes on each radial panel.  Every other state takes
+the trapezoid rule on the box [-L, L]^4 with `points` points per axis.
+That path never holds the full field: it takes |W| of one state one block
+of Im beta columns at a time and contracts each block over the other three
+axes with the same trapezoid sums as `integrate_field`, so it matches the
+unstreamed quadrature of `wigner_field` bit for bit.  On either path the
+coarse twin is the same rule at half the points.
 
 The Laguerre closed form `displaced_parity` fills every table; the printed
 closed form it replaces is `errata.displaced_parity_printed`.
@@ -277,21 +286,371 @@ def _abs_integral(left, kb, w):
     return float(_trapezoid(partial, w, 1))
 
 
+def _streamed_volumes(stack, extent, window, n_pts):
+    """Trapezoidal volumes of a (T, 4, 4) stack on the n_pts-point box grid."""
+    g = PhaseSpaceGrid(extent=extent, points_per_axis=n_pts)
+    pts = _grid_points(g)
+    left = _left(stack, _k_tables(pts, window.n1))
+    kb = _k_tables(pts, window.m1).reshape(n_pts, n_pts, 4)
+    w = _trapezoid_weights(g)
+    v = [_abs_integral(one, kb, w) for one in left]
+    return 0.5 * (np.array(v) - 1.0)
+
+
+# --- X states: the angular integral in closed form --------------------------
+#
+# If the only coherence of a window state is rho14 (EPR type) or rho23 (NOON
+# type), W = f(ra, rb) + g(ra, rb) cos(phi_a +- phi_b - chi) in polar
+# coordinates alpha = ra e^{i phi_a}, beta = rb e^{i phi_b}.  f sums the
+# populations times the diagonal K elements of both modes, g is
+# 2 |rho14| (or 2 |rho23|) times the K elements next to the diagonal, and
+# every K element is e^{-2 r^2} times a polynomial (`_radial_coeffs`).  The
+# two phase angles integrate to 2 pi A(f, g) (`_angular_abs`), which leaves
+# a radial integral over [0, L]^2.  A(f, g) is analytic except on the
+# curves |g| = |f|, where it goes as (|g| - |f|)^{3/2} on one side; the
+# Gaussians cancel there, so at a fixed ra the curves cross rb at roots of
+# polynomials.  Gauss-Legendre panels end on those roots and map their
+# nodes quadratically towards them, which makes the half-integer powers
+# analytic.  The inner integral, as a function of ra, is singular only
+# where roots of one polynomial meet (a scan of the root count finds
+# those) and where f = 0 meets g = 0; the outer panels end there too.
+
+_EPR = (0, 3)  # rho14
+_NOON = (1, 2)  # rho23
+
+# Highest Fock index the reduced path takes.  The companion-matrix roots
+# of L_n(4 r^2) and r L_n^1(4 r^2) are good to 1e-10 up to n = 16 and to
+# only 1e-8 at n = 20; higher windows keep the streamed path.
+_REDUCED_MAX_INDEX = 16
+
+# A uniform scan of _SCAN + 1 radii brackets the changes in the set of
+# kink roots; each refinement round cuts a bracket into _SPLIT parts, so
+# _ROUNDS rounds place a change to L / (_SCAN * _SPLIT**_ROUNDS), about
+# 2e-9 of L.
+_SCAN = 256
+_SPLIT, _ROUNDS = 8, 7
+
+
+def _x_coherence(rho, window):
+    """The (i, j) of the one coherence of an exactly Hermitian X state
+    (rho14 or rho23; rho14 for a diagonal state), or None: exact zeros
+    decide, and non-finite states and windows above _REDUCED_MAX_INDEX
+    get None."""
+    if (max(window.n1, window.m1) + 1 > _REDUCED_MAX_INDEX
+            or not np.all(np.isfinite(rho)) or not np.array_equal(rho, rho.conj().T)):
+        return None
+    for i, j in (_EPR, _NOON):
+        rest = rho - np.diag(np.diag(rho))
+        rest[i, j] = rest[j, i] = 0.0
+        if not rest.any():
+            return i, j
+    return None
+
+
+def _radial_coeffs(m, d):
+    """Coefficients c, highest power first, with displaced_parity(m, m + d, r)
+    = r^d e^{-2 r^2} sum_i c_i r^{2i} at real r >= 0: the Laguerre closed
+    form (-1)^{m+d} sqrt(m!/(m+d)!) (-2r)^d L_m^d(4 r^2)."""
+    pre = ((-1.0) ** (m + d) * math.sqrt(math.factorial(m) / math.factorial(m + d))
+           * (-2.0) ** d)
+    return np.array([pre * (-1.0) ** i * math.comb(m + d, m - i) * 4.0**i / math.factorial(i)
+                     for i in range(m, -1, -1)])
+
+
+class _Mode:
+    """K[n, n], K[n+1, n+1] and K[n, n+1] of one mode at real radii, for
+    window index n."""
+
+    def __init__(self, index):
+        self.index = index
+        coeffs = (_radial_coeffs(index, 0), _radial_coeffs(index + 1, 0),
+                  _radial_coeffs(index, 1))
+        # Their polynomials in x = r^2 (the last one divided by r), padded to
+        # one length, and in r, for roots.
+        self.xpoly = np.zeros((3, index + 2))
+        self.rpoly = np.zeros((3, 2 * index + 3))
+        for xrow, rrow, c, d in zip(self.xpoly, self.rpoly, coeffs, (0, 0, 1)):
+            xrow[len(xrow) - len(c):] = c
+            rrow[len(rrow) - 1 - d - 2 * np.arange(len(c) - 1, -1, -1)] = c
+
+    def polys(self, r):
+        """The three elements at r without their e^{-2 r^2}: (3,) + r.shape,
+        from the Laguerre recurrence as in `displaced_parity`."""
+        n, x = self.index, 4.0 * r * r
+        return np.stack([
+            np.broadcast_to((-1.0) ** n * laguerre_assoc(n, 0, x), x.shape),
+            (-1.0) ** (n + 1) * laguerre_assoc(n + 1, 0, x),
+            (-1.0) ** (n + 1) / math.sqrt(n + 1) * (-2.0 * r) * laguerre_assoc(n, 1, x)])
+
+    def values(self, r):
+        return self.polys(r) * np.exp(-2.0 * r * r)
+
+
+# A root pair that is double to within rounding comes out of the companion
+# matrix as real or complex by chance; counting |Im| up to this as real
+# makes the count, and so the placing of outer edges, stable.
+_IMAG_ROOT = 1e-7
+
+
+def _roots(polys):
+    """Complex roots, (N, degree), of each row of polys (highest power
+    first).  A leading coefficient below 1e-14 of its row's largest drops
+    out and its root is returned as +inf, a real root far away."""
+    n, deg = polys.shape[0], polys.shape[1] - 1
+    out = np.full((n, max(deg, 0)), np.inf, dtype=complex)
+    if deg < 1:
+        return out
+    scale = np.max(np.abs(polys), axis=1)
+    lead = np.abs(polys[:, 0]) > 1e-14 * scale
+    if lead.any():
+        c = polys[lead]
+        comp = np.zeros((len(c), deg, deg))
+        comp[:, 0, :] = -c[:, 1:] / c[:, :1]
+        comp[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+        out[lead] = np.linalg.eigvals(comp)
+    rest = ~lead & (scale > 0)
+    if rest.any():
+        out[rest, 1:] = _roots(polys[rest, 1:])
+    return out
+
+
+def _is_real(z):
+    return np.abs(z.imag) <= _IMAG_ROOT * np.maximum(1.0, np.abs(z))
+
+
+def _radii(z, extent):
+    """sqrt of the real roots z = r^2 with 0 < r < extent, extent elsewhere."""
+    inside = _is_real(z) & (z.real > 0.0) & (z.real < extent**2)
+    return np.sqrt(np.where(inside, z.real, extent**2))
+
+
+def _angular_abs(f, g):
+    """A(f, g), the integral of |f + g cos psi| over psi in [0, 2 pi):
+    2 pi |f| where |g| <= |f|, else 4 f psi0 + 4 |g| sin psi0 - 2 pi f with
+    psi0 = arccos(-f / |g|)."""
+    f, g = np.asarray(f, dtype=float), np.abs(g)
+    out = 2.0 * math.pi * np.abs(f)
+    inside = g > np.abs(f)
+    fi, gi = f[inside], g[inside]
+    psi0 = np.arccos(-fi / gi)
+    out[inside] = 4.0 * fi * psi0 + 4.0 * gi * np.sin(psi0) - 2.0 * math.pi * fi
+    return out
+
+
+def _gauss_legendre(q):
+    """q-point Gauss-Legendre nodes and weights on [-1, 1]: Golub-Welsch
+    nodes, polished by Newton steps on the Legendre recurrence."""
+    k = np.arange(1.0, q)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    for _ in range(3):
+        p0, p1 = np.ones(q), x
+        for n in range(2, q + 1):
+            p0, p1 = p1, ((2 * n - 1) * x * p1 - (n - 1) * p0) / n
+        dp = q * (x * p1 - p0) / ((x - 1.0) * (x + 1.0))
+        x = x - p1 / dp
+    return x, 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+
+
+_PANEL_RULES = {}
+
+
+def _panel_rules(q):
+    """(4, 2, q) nodes and weights on [0, 1] of the q-point rule mapped
+    towards neither end, the left, the right or both (index left + 2 right):
+    u, u^2, 1 - (1 - u)^2 and 3u^2 - 2u^3, each quadratic at a mapped end."""
+    if q not in _PANEL_RULES:
+        x, w = _gauss_legendre(q)
+        u, wu = 0.5 * (x + 1.0), 0.5 * w
+        rules = np.array([
+            (u, wu),
+            (u * u, 2.0 * u * wu),
+            (1.0 - (1.0 - u) ** 2, 2.0 * (1.0 - u) * wu),
+            (u * u * (3.0 - 2.0 * u), 6.0 * u * (1.0 - u) * wu),
+        ])
+        rules.flags.writeable = False
+        _PANEL_RULES[q] = rules
+    return _PANEL_RULES[q]
+
+
+def _panel_nodes(edges, kinks, q):
+    """Nodes and weights, (..., panels * q), of q points on each panel
+    between consecutive edges (..., P + 1), mapped towards kink edges."""
+    rules = _panel_rules(q)
+    kind = kinks[..., :-1] + 2 * kinks[..., 1:]
+    lo, width = edges[..., :-1, None], np.diff(edges, axis=-1)[..., None]
+    nodes = lo + width * rules[kind, 0]
+    weights = width * rules[kind, 1]
+    shape = edges.shape[:-1] + (-1,)
+    return nodes.reshape(shape), weights.reshape(shape)
+
+
+def _merge_edges(fixed, kinks, hi):
+    """Rows of sorted edges: the fixed edges plus each row's kink roots
+    (padding hi), with a kink flag per edge; trailing columns that hold
+    padding in every row are dropped."""
+    fixed = np.broadcast_to(fixed, (len(kinks), len(fixed)))
+    edges = np.concatenate([fixed, kinks], axis=1)
+    flags = np.concatenate([np.zeros(fixed.shape, bool), kinks < hi], axis=1)
+    order = np.argsort(edges, axis=1, kind="stable")
+    edges = np.take_along_axis(edges, order, axis=1)
+    flags = np.take_along_axis(flags, order, axis=1)
+    used = fixed.shape[1] + int(np.max(np.sum(kinks < hi, axis=1), initial=0))
+    return edges[:, :used], flags[:, :used]
+
+
+# Outer panels wider than this are cut (a kink end maps its panel's nodes
+# towards it, which thins them elsewhere); at most _MAX_CRITICAL outer edges
+# come from the roots; _CHUNK outer nodes are integrated at a time.
+_OUTER_WIDTH = 3.0
+_MAX_CRITICAL = 1024
+_CHUNK = 128
+
+
+def _split_wide(edges, flags, width):
+    """Cut each panel wider than `width` into equal parts (new edges are no kinks)."""
+    parts = np.maximum(1, np.ceil(np.diff(edges) / width)).astype(int)
+    if np.all(parts == 1):
+        return edges, flags
+    new_edges, new_flags = [edges[:1]], [flags[:1]]
+    for lo, hi, n, flag in zip(edges[:-1], edges[1:], parts, flags[1:]):
+        new_edges.append(lo + (hi - lo) * np.arange(1, n + 1) / n)
+        new_flags.append(np.append(np.zeros(n - 1, bool), flag))
+    return np.concatenate(new_edges), np.concatenate(new_flags)
+
+
+class _XState:
+    """Radial data of one X state on the disk of radius `extent` per mode."""
+
+    def __init__(self, rho, coherence, extent, window):
+        self.extent = extent
+        self.a, self.b = _Mode(window.n1), _Mode(window.m1)
+        self.pop = np.real(np.diag(rho)).reshape(2, 2)  # [i, j]: |n1+i, m1+j>
+        self.amp = 2.0 * abs(rho[coherence])
+        # Inner edges: 0, the zeros of K_B[m, m+1] (g changes sign there)
+        # and the extent.  Outer edges: the same for mode A, and the radii
+        # where the leading coefficient of f in rb vanishes, so that a root
+        # escapes to infinity; near them the roots' complex continuation
+        # meets the growing side of e^{-2 rb^2}.
+        self.inner = self._edges(self.b.xpoly[2])
+        self.outer = self._edges(self.a.xpoly[2], self.pop[:, 1] @ self.a.xpoly[:2])
+        self.critical = np.empty(0)
+        scan = np.linspace(0.0, extent, _SCAN + 1)
+        self._add_critical(self._events(scan, self._kinks(scan)[1], np.ones(_SCAN, bool)))
+        self._add_critical(self._vertices())
+
+    def _edges(self, *xpolys):
+        """0, the extent and the radii in between where one of the
+        polynomials in x = r^2 vanishes."""
+        zeros = _radii(_roots(np.array(xpolys)), self.extent)
+        return np.unique(np.concatenate([[0.0, self.extent], zeros.ravel()]))
+
+    def _kinks(self, ra):
+        """At each ra, the rb in (0, extent) where f = g or f = -g, as an
+        (N, 2 degree) array padded with the extent, and the number of real
+        roots (at any rb) behind them, which changes only where two roots
+        of one of the two polynomials meet."""
+        a = self.a.polys(ra)
+        c = self.pop.T @ a[:2]
+        f = c.T @ self.b.rpoly[:2]
+        g = np.outer(self.amp * a[2], self.b.rpoly[2])
+        # With g = 0 both curves are f = 0.
+        z = _roots(np.concatenate([f + g, f - g]) if self.amp else f)
+        real = _is_real(z)
+        rb = np.where(real & (z.real > 0.0) & (z.real < self.extent), z.real, self.extent)
+        parts = len(z) // len(ra)
+        return (rb.reshape(parts, len(ra), -1).swapaxes(0, 1).reshape(len(ra), -1),
+                real.reshape(parts, len(ra), -1).sum(axis=(0, 2)))
+
+    def _vertices(self):
+        """The ra where f = 0 on a fixed inner edge below the extent, where
+        g = 0 too: there the curves f = g and f = -g cross, and a root can
+        pass from one to the other through rb = 0 without a count change."""
+        w = self.pop @ self.b.polys(self.inner[:-1])[:2]
+        radii = _radii(_roots(w.T @ self.a.xpoly[:2]), self.extent)
+        return radii[radii < self.extent]
+
+    def _events(self, ra, count, inside):
+        """The radii where the root count changes between ra[k] and
+        ra[k + 1], for each k with inside[k], placed by multisection."""
+        change = inside & (count[1:] != count[:-1])
+        lo, hi, ref = ra[:-1][change], ra[1:][change], count[:-1][change, None]
+        rows = np.arange(len(lo))
+        for _ in range(_ROUNDS if len(lo) else 0):
+            grid = lo[:, None] + (hi - lo)[:, None] * (np.arange(_SPLIT + 1) / _SPLIT)
+            differs = self._kinks(grid[:, 1:-1].ravel())[1].reshape(len(lo), -1) != ref
+            first = np.where(differs.any(axis=1), np.argmax(differs, axis=1), _SPLIT - 1)
+            lo, hi = grid[rows, first], grid[rows, first + 1]
+        return 0.5 * (lo + hi)
+
+    def _add_critical(self, found):
+        """Add the found radii that are not within 1e-6 L of an outer edge
+        already (placing an edge that close changes the volume by far less
+        than rounding); True if any was added."""
+        added = False
+        for r in np.sort(found)[:max(0, _MAX_CRITICAL - len(self.critical))]:
+            if np.min(np.abs(self.critical - r), initial=np.inf) > 1e-6 * self.extent:
+                self.critical = np.sort(np.append(self.critical, r))
+                added = True
+        return added
+
+    def _outer_nodes(self, q):
+        edges, flags = _merge_edges(self.outer, self.critical[None], np.inf)
+        edges, flags = _split_wide(edges[0], flags[0], _OUTER_WIDTH)
+        ra, wa = _panel_nodes(edges, flags, q)
+        return (ra, wa) + self._kinks(ra)
+
+    def volume(self, q):
+        """Negativity volume with q Gauss-Legendre nodes on every panel.  A
+        count change between two outer nodes of one panel adds an outer
+        edge there (the uniform scan can step over a short lens)."""
+        ra, wa, kinks, count = self._outer_nodes(q)
+        for _ in range(3):
+            if not self._add_critical(self._events(ra, count, np.arange(1, len(ra)) % q != 0)):
+                break
+            ra, wa, kinks, count = self._outer_nodes(q)
+        a = (4.0 / math.pi**2) * self.a.values(ra)
+        c, amp = self.pop.T @ a[:2], self.amp * a[2]
+        total = 0.0
+        for rows in range(0, len(ra), _CHUNK):  # bounds the (rows, rb nodes) arrays
+            rows = slice(rows, rows + _CHUNK)
+            edges, flags = _merge_edges(self.inner, kinks[rows], self.extent)
+            rb, wb = _panel_nodes(edges, flags, q)
+            b = self.b.values(rb)
+            f = c[0, rows, None] * b[0] + c[1, rows, None] * b[1]
+            inner = np.sum(wb * rb * _angular_abs(f, amp[rows, None] * b[2]), axis=1)
+            total += float(np.dot(wa[rows] * ra[rows], inner))
+        return 0.5 * (2.0 * math.pi * total - 1.0)
+
+
 def volume_pair(rho, grid, window=FockWindow()):
-    """Negativity volume V = (1/2)(integral of |W| - 1), unclamped, at the
-    grid resolution and at half of it (rounded up to even, at least 8
-    points, so only grids of 10 or more points get a coarser twin); the CLI
-    gates their gap (`cli.VOLUME_GATE`).  A stack of states gets two arrays;
-    the tables and weights of each resolution are built once per call."""
+    """Negativity volume V = (1/2)(integral of |W| - 1), unclamped, at two
+    resolutions whose gap the CLI gates (`cli.VOLUME_GATE`).  A stack of
+    states gets two arrays, each value that of its state on its own.
 
-    def volume_at(n_pts):
-        g = PhaseSpaceGrid(extent=grid.extent, points_per_axis=n_pts)
-        pts = _grid_points(g)
-        left = _left(rho, _k_tables(pts, window.n1))
-        kb = _k_tables(pts, window.m1).reshape(n_pts, n_pts, 4)
-        w = _trapezoid_weights(g)
-        v = [_abs_integral(one, kb, w) for one in left.reshape(-1, n_pts**2, 4)]
-        return _value(0.5 * (np.reshape(v, left.shape[:-2]) - 1.0))
-
-    half = 2 * math.ceil(grid.points_per_axis / 4)  # half, rounded up to even
-    return volume_at(grid.points_per_axis), volume_at(max(8, half))
+    Exactly Hermitian X states (coherence only in rho14 or rho23) take the
+    reduced path: the phase angles in closed form and the two radii over
+    the disk of radius `grid.extent` per mode, with `points_per_axis`
+    Gauss-Legendre nodes on every radial panel.  Every other state takes
+    the trapezoid rule on the box grid of `points_per_axis` points per
+    axis.  The coarse twin uses half the points (rounded up to even, at
+    least 8) on the same path, so only grids of 10 or more points get a
+    coarser twin.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    stack = rho.reshape(-1, 4, 4)
+    n = grid.points_per_axis
+    orders = (n, max(8, 2 * math.ceil(n / 4)))  # half, rounded up to even
+    fine, coarse = np.empty(len(stack)), np.empty(len(stack))
+    general = []
+    for k, one in enumerate(stack):
+        coherence = _x_coherence(one, window)
+        if coherence is None:
+            general.append(k)
+            continue
+        x = _XState(one, coherence, grid.extent, window)
+        fine[k], coarse[k] = x.volume(orders[0]), x.volume(orders[1])
+    if general:
+        for out, n_pts in zip((fine, coarse), orders):
+            out[general] = _streamed_volumes(stack[general], grid.extent, window, n_pts)
+    return _value(fine.reshape(rho.shape[:-2])), _value(coarse.reshape(rho.shape[:-2]))

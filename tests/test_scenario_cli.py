@@ -240,8 +240,10 @@ def test_cli_paper_elements_rejected(tmp_path):
 
 
 def test_cli_quadrature_exit_4(tmp_path):
-    # A coarse grid on a strongly negative state trips the convergence gate.
-    text = BASE.replace("state = epr", "state = noon")
+    # A coarse box grid on a state that takes the trapezoid path trips the
+    # convergence gate (EPR and NOON states take the reduced path, which
+    # resolves them at 16 points).
+    text = BASE.replace("state = epr", "state = coherent\nnbar_prime = 2.0")
     text += "points = 16\n"
     path = _write(tmp_path, text)
     assert cli.main(["volume", "--scenario", path, "--out", str(tmp_path)]) == 4

@@ -200,6 +200,31 @@ def test_wigner_tables_match_per_state_calls(window):
     assert_same_bits(coarse, [c for _, c in pairs])
 
 
+def test_volume_stack_mixing_x_and_general_states_matches_per_state_calls():
+    # Each state of a stack takes its own path: X states (evolved EPR and
+    # NOON trajectories, a diagonal state) the reduced one, the others the
+    # streamed one, and every value keeps its bits.
+    window = FockWindow(0, 1)
+    times = np.linspace(0.0, 0.6, 3)
+    params = dynamics.EvolutionParams(window=window)
+    x_states = np.concatenate([
+        dynamics.evolve(states.build_epr(0.6, 0.8), params, dynamics.Markovian(1.0),
+                        times).states,
+        dynamics.evolve(states.build_noon(0.8, 0.6), params, dynamics.Markovian(1.0),
+                        times).states,
+        [np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)]])
+    general = adversarial_states(np.random.default_rng(15))[:4]
+    stack = np.concatenate([x_states[:3], general[:2], x_states[3:], general[2:]])
+    paths = [wg._x_coherence(rho, window) for rho in stack]
+    assert sum(p is None for p in paths) == 4 and paths.count(wg._EPR) == 4
+    assert paths.count(wg._NOON) == 3
+    grid = wg.PhaseSpaceGrid(wg.default_extent(window), 12)
+    fine, coarse = wg.volume_pair(stack, grid, window)
+    pairs = [wg.volume_pair(rho, grid, window) for rho in stack]
+    assert_same_bits(fine, [f for f, _ in pairs])
+    assert_same_bits(coarse, [c for _, c in pairs])
+
+
 def test_correlation_report_matches_per_state_reference():
     stack = adversarial_states(np.random.default_rng(11))
     assert_report_matches(co.correlation_report(stack), stack)

@@ -186,11 +186,13 @@ def test_imaginary_residue_raises():
 
 
 def test_volume_convergence_error_carries_both_values(tmp_path):
-    # The CLI volume table gates the fine/coarse gap; a coarse grid on a
-    # strongly negative state trips it.
+    # The CLI volume table gates the fine/coarse gap; a coarse box grid on a
+    # state that takes the trapezoid path trips it (16 against 8 points
+    # differ by about 0.13 here).
     scn = scenario.parse_scenario(
-        "schema = 1\nstate = noon\nmodel = markovian\nt_max = 0\nsteps = 2\n"
-        "points = 16\n")
+        "schema = 1\nstate = coherent\nnbar_prime = 2.0\nmodel = markovian\n"
+        "t_max = 0\nsteps = 2\npoints = 16\n")
+    assert wg._x_coherence(scn.rho0, scn.window) is None
     with pytest.raises(QuadratureConvergenceError) as err:
         cli.run_scenario(scn, [("volume", "volume")], str(tmp_path))
     fine, coarse = err.value.fine, err.value.coarse
