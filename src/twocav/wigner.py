@@ -32,6 +32,7 @@ closed form it replaces is `errata.displaced_parity_printed`.
 for the closed form and are not used to build the Wigner function.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -339,10 +340,10 @@ def _x_coherence(rho, window):
     if (max(window.n1, window.m1) + 1 > _REDUCED_MAX_INDEX
             or not np.all(np.isfinite(rho)) or not np.array_equal(rho, rho.conj().T)):
         return None
+    off = rho != 0
+    off[np.diag_indices(4)] = False
     for i, j in (_EPR, _NOON):
-        rest = rho - np.diag(np.diag(rho))
-        rest[i, j] = rest[j, i] = 0.0
-        if not rest.any():
+        if np.count_nonzero(off) == np.count_nonzero(off[[i, j], [j, i]]):
             return i, j
     return None
 
@@ -452,25 +453,22 @@ def _gauss_legendre(q):
     return x, 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
 
 
-_PANEL_RULES = {}
-
-
+@functools.cache
 def _panel_rules(q):
     """(4, 2, q) nodes and weights on [0, 1] of the q-point rule mapped
     towards neither end, the left, the right or both (index left + 2 right):
-    u, u^2, 1 - (1 - u)^2 and 3u^2 - 2u^3, each quadratic at a mapped end."""
-    if q not in _PANEL_RULES:
-        x, w = _gauss_legendre(q)
-        u, wu = 0.5 * (x + 1.0), 0.5 * w
-        rules = np.array([
-            (u, wu),
-            (u * u, 2.0 * u * wu),
-            (1.0 - (1.0 - u) ** 2, 2.0 * (1.0 - u) * wu),
-            (u * u * (3.0 - 2.0 * u), 6.0 * u * (1.0 - u) * wu),
-        ])
-        rules.flags.writeable = False
-        _PANEL_RULES[q] = rules
-    return _PANEL_RULES[q]
+    u, u^2, 1 - (1 - u)^2 and 3u^2 - 2u^3, each quadratic at a mapped end.
+    Read-only, as every caller shares it."""
+    x, w = _gauss_legendre(q)
+    u, wu = 0.5 * (x + 1.0), 0.5 * w
+    rules = np.array([
+        (u, wu),
+        (u * u, 2.0 * u * wu),
+        (1.0 - (1.0 - u) ** 2, 2.0 * (1.0 - u) * wu),
+        (u * u * (3.0 - 2.0 * u), 6.0 * u * (1.0 - u) * wu),
+    ])
+    rules.flags.writeable = False
+    return rules
 
 
 def _panel_nodes(edges, kinks, q):
