@@ -313,8 +313,9 @@ def _streamed_volumes(stack, extent, window, n_pts):
 # polynomials.  Gauss-Legendre panels end on those roots and map their
 # nodes quadratically towards them, which makes the half-integer powers
 # analytic.  The inner integral, as a function of ra, is singular only
-# where roots of one polynomial meet (a scan of the root count finds
-# those) and where f = 0 meets g = 0; the outer panels end there too.
+# where roots of one polynomial meet (the real-root count changes there,
+# which the outer nodes show) and where f = 0 meets g = 0; the outer
+# panels end there too.
 
 _EPR = (0, 3)  # rho14
 _NOON = (1, 2)  # rho23
@@ -324,11 +325,9 @@ _NOON = (1, 2)  # rho23
 # only 1e-8 at n = 20; higher windows keep the streamed path.
 _REDUCED_MAX_INDEX = 16
 
-# A uniform scan of _SCAN + 1 radii brackets the changes in the set of
-# kink roots; each refinement round cuts a bracket into _SPLIT parts, so
-# _ROUNDS rounds place a change to L / (_SCAN * _SPLIT**_ROUNDS), about
-# 2e-9 of L.
-_SCAN = 256
+# A change in the real-root count between two outer nodes is placed by
+# _ROUNDS rounds that each cut its bracket into _SPLIT parts, to about
+# 5e-7 of the node spacing.
 _SPLIT, _ROUNDS = 8, 7
 
 
@@ -533,8 +532,6 @@ class _XState:
         self.inner = self._edges(self.b.xpoly[2])
         self.outer = self._edges(self.a.xpoly[2], self.pop[:, 1] @ self.a.xpoly[:2])
         self.critical = np.empty(0)
-        scan = np.linspace(0.0, extent, _SCAN + 1)
-        self._add_critical(self._events(scan, self._kinks(scan)[1], np.ones(_SCAN, bool)))
         self._add_critical(self._vertices())
 
     def _edges(self, *xpolys):
@@ -600,8 +597,10 @@ class _XState:
 
     def volume(self, q):
         """Negativity volume with q Gauss-Legendre nodes on every panel.  A
-        count change between two outer nodes of one panel adds an outer
-        edge there (the uniform scan can step over a short lens)."""
+        change in the root count between two outer nodes of one panel adds
+        an outer edge there, and the nodes are laid out again, up to three
+        times; edges found stay for later calls, so a finer rule called
+        first places them for a coarser one."""
         ra, wa, kinks, count = self._outer_nodes(q)
         for _ in range(3):
             if not self._add_critical(self._events(ra, count, np.arange(1, len(ra)) % q != 0)):
