@@ -141,7 +141,7 @@ def test_gauss_legendre_rule():
             assert abs(np.dot(w, x ** (2 * k)) - 2.0 / (2 * k + 1)) <= 1e-14
 
 
-def test_real_roots_of_degenerate_rows():
+def test_roots_of_degenerate_rows():
     # A vanishing leading coefficient gives an infinite (real) root; an
     # all-zero row gives no finite one.
     polys = np.array([[1.0, -3.0, 2.0], [0.0, 1.0, -0.5], [0.0, 0.0, 0.0]])
