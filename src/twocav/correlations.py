@@ -5,6 +5,8 @@ ordering |00>, |01>, |10>, |11>.  X-structured states get closed-form
 concurrence and discord; a brute-force discord minimization over projective
 measurements on the second subsystem serves as the oracle and as the
 fallback of `correlation_report` for states that are not X-structured.
+X structure is `states.x_corners`' exact-zero test, so a state with any
+nonzero entry outside the X pattern, however small, takes brute force.
 Brute force works on the state's real Bloch coefficients (t = Tr rho, a, b,
 T): a 64 x 64 scan over the measurement direction seeds a 5 x 5 stencil
 search, both vectorised over points, with no scipy.  Each stencil call
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .states import x_corners
 
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SPIN_FLIP = np.kron(_SY, _SY)
@@ -117,17 +120,6 @@ def von_neumann_entropy(rho):
     return float(-np.sum(vals * np.log2(vals)))
 
 
-# The eight entries outside the diagonal and the two anti-diagonal pairs.
-_OFF_X = tuple(zip(*[(i, j) for i in range(4) for j in range(4)
-                     if i != j and i + j != 3]))
-_X_TOL = 1e-9
-
-
-def _off_x(rho):
-    """Largest |entry| outside the X pattern, per state."""
-    return np.max(np.abs(np.asarray(rho)[..., _OFF_X[0], _OFF_X[1]]), axis=-1)
-
-
 def discord_x(rho):
     """Closed-form quantum discord of a two-qubit X state.
 
@@ -136,7 +128,7 @@ def discord_x(rho):
     its entropy weights; `errata.discord_second_branch_printed` exhibits
     that typo.
     """
-    if _off_x(rho) > _X_TOL:
+    if x_corners(rho)[0]:
         raise DomainError("state is not X-structured")
     (p, c14, c23), = _x_entries(np.asarray(rho)[None])
     return _discord_x_value(p, c14, c23)
@@ -294,11 +286,11 @@ def correlation_report(rho):
     """All measures of a window state or of a (T, 4, 4) stack of them.
 
     Discord falls back to brute force for each state that is not
-    X-structured; a stack gets arrays of length T.
+    X-structured (`states.x_corners`); a stack gets arrays of length T.
     """
     rho = np.asarray(rho, dtype=complex)
     stack = rho.reshape(-1, 4, 4)
-    not_x = (_off_x(stack) > _X_TOL).tolist()
+    not_x = x_corners(stack)[0].tolist()
     d = np.array([discord_bruteforce(r) if bad else _discord_x_value(*x)
                   for r, bad, x in zip(stack, not_x, _x_entries(stack))])
     neg = negativity(rho)

@@ -4,6 +4,11 @@ Everything in this package lives on the 4-dimensional window spanned by
 {|n1,m1>, |n1,m1+1>, |n1+1,m1>, |n1+1,m1+1>} for two cavity modes A and B.
 Density matrices are plain 4x4 complex numpy arrays over that basis, in
 that order.
+
+`x_corners` is the package's one test of X structure, with exact zeros
+and no tolerance: the printed window generator's nine invariant blocks
+keep every zero of an X state's rho0 exactly zero at every time, so
+deciding each state on its own is deciding once on rho0.
 """
 
 import math
@@ -143,6 +148,25 @@ def build_noon(b, c):
     """Pure state b|n1,m1+1> + c|n1+1,m1> as a density matrix."""
     _require_unit_norm(b, c, "|b|^2 + |c|^2 must equal 1")
     return pure_state(np.array([0.0, b, c, 0.0], dtype=complex))
+
+
+# The upper entries of the two anti-diagonal corner pairs, rho14 (EPR) and
+# rho23 (NOON), and of the four pairs outside the X pattern, rho12, rho13,
+# rho24 and rho34, as (rows, columns).
+X_CORNERS = ((0, 3), (1, 2))
+_OUTSIDE_X = ((0, 0, 1, 2), (1, 2, 3, 3))
+
+
+def x_corners(rho):
+    """X structure of a state, or of each state of a stack, from exact zeros:
+    `outside`, True where an entry outside the X pattern is nonzero, and
+    `corners`, of shape outside.shape + (2,), True where the rho14/rho41 or
+    the rho23/rho32 pair has a nonzero entry.  The test is `!= 0`, so -0.0
+    counts as zero and NaN as nonzero."""
+    nonzero = np.asarray(rho) != 0
+    nonzero = nonzero | nonzero.swapaxes(-1, -2)  # an entry or its transpose
+    return (nonzero[..., _OUTSIDE_X[0], _OUTSIDE_X[1]].any(axis=-1),
+            np.stack([nonzero[..., i, j] for i, j in X_CORNERS], axis=-1))
 
 
 def validate(rho, tol=1e-10):

@@ -6,7 +6,10 @@ Pauli factor are implemented; 'printed' is the default, chosen because it
 reproduces the closed-form output blocks exactly.  An input state carries
 its index order: it builds the 16 correction terms of that order once, so
 only the Bell weights change from one channel state to the next.
-Closed-form fast paths cover the two X-structured channel families.
+Closed-form fast paths cover the two X-structured channel families.  A
+channel is in a family when `states.x_corners` finds every entry off the
+diagonal and off the family's corner pair exactly zero, as the window
+generator keeps them on an EPR or NOON trajectory; else PatternError.
 The channel may be one (4, 4) state or a (T, 4, 4) trajectory stack; a
 stack is teleported in one pass and gets arrays back, each value
 bit-identical to that of its state on its own.
@@ -20,6 +23,7 @@ import numpy as np
 from . import correlations
 from .correlations import _value
 from .errors import DomainError, PatternError
+from .states import X_CORNERS, x_corners
 
 PRINTED = "printed"
 SYMMETRIC = "symmetric"
@@ -127,22 +131,21 @@ def teleport_general(channel, inp):
     return TeleportResult(rho_out=out, fidelity=_value(fid), probabilities=probs)
 
 
-def _require_pattern(channel, zero_positions):
-    """The channel (each channel of a stack) as an array; names the first
-    nonzero entry of the first channel that breaks the pattern."""
+def _require_x(channel, corner):
+    """The channel (each channel of a stack) as an array if its only
+    coherence is the corner pair X_CORNERS[corner]; else raises, naming the
+    first nonzero entry off the diagonal and that pair in the first channel
+    that has one."""
     rho = np.asarray(channel, dtype=complex)
-    rows, cols = zip(*zero_positions)
-    bad = (np.abs(rho[..., rows, cols]) > 1e-10).reshape(-1, len(zero_positions))
-    hit = bad.any(axis=1)
-    if hit.any():
-        i, j = zero_positions[int(np.argmax(bad[np.argmax(hit)]))]
+    outside, corners = x_corners(rho)
+    bad = (outside | corners[..., 1 - corner]).ravel()
+    if bad.any():
+        nonzero = rho.reshape(-1, 4, 4)[np.argmax(bad)] != 0
+        i, j = X_CORNERS[corner]
+        nonzero[np.diag_indices(4)] = nonzero[i, j] = nonzero[j, i] = False
+        i, j = np.argwhere(nonzero)[0]
         raise PatternError("channel entry (%d, %d) must vanish" % (i + 1, j + 1))
     return rho
-
-_EPR_ZEROS = [(i, j) for i in range(4) for j in range(4)
-              if i != j and (i, j) not in ((0, 3), (3, 0))]
-_NOON_ZEROS = [(i, j) for i in range(4) for j in range(4)
-               if i != j and (i, j) not in ((1, 2), (2, 1))]
 
 
 def _square(x):
@@ -161,14 +164,14 @@ def _closed_form(rho, u, corner, p, q):
 
 def closed_form_epr(channel, p, q):
     """Output-state coefficients (k1, k2, k3) for an anti-diagonal X channel."""
-    rho = _require_pattern(channel, _EPR_ZEROS)
+    rho = _require_x(channel, 0)
     return _closed_form(rho, np.real(rho[..., 0, 0] + rho[..., 3, 3]),
                         rho[..., 0, 3], p, q)
 
 
 def closed_form_noon(channel, p, q):
     """Output-state coefficients (a1, a2, a3) for an inner-block X channel."""
-    rho = _require_pattern(channel, _NOON_ZEROS)
+    rho = _require_x(channel, 1)
     return _closed_form(rho, np.real(rho[..., 0, 0]), rho[..., 1, 2], p, q)
 
 

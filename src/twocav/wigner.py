@@ -11,7 +11,8 @@ table, gives W; a single point is the G = 1 case.
 stack; a stack gets arrays back, each value bit-identical to that of its
 state on its own.
 
-`volume_pair` decides its path state by state, from exact zeros.  An
+`volume_pair` decides its path state by state, from exact zeros
+(`states.x_corners`, the one X-structure test of the package).  An
 exactly Hermitian state whose only coherence is rho14 (EPR type) or rho23
 (NOON type) has W = f + g cos(phi_a +- phi_b - chi) in polar coordinates,
 so the two phase angles integrate in closed form and the two radii are
@@ -40,7 +41,7 @@ import numpy as np
 
 from .correlations import _value
 from .errors import ConsistencyError, DomainError, QuadratureConvergenceError
-from .states import FockWindow
+from .states import FockWindow, x_corners
 
 IMAG_TOL = 1e-10
 
@@ -317,9 +318,6 @@ def _streamed_volumes(stack, extent, window, n_pts):
 # which the outer nodes show) and where f = 0 meets g = 0; the outer
 # panels end there too.
 
-_EPR = (0, 3)  # rho14
-_NOON = (1, 2)  # rho23
-
 # Highest Fock index the reduced path takes.  The companion-matrix roots
 # of L_n(4 r^2) and r L_n^1(4 r^2) are good to 1e-10 up to n = 16 and to
 # only 1e-8 at n = 20; higher windows keep the streamed path.
@@ -331,20 +329,15 @@ _REDUCED_MAX_INDEX = 16
 _SPLIT, _ROUNDS = 8, 7
 
 
-def _x_coherence(rho, window):
-    """The (i, j) of the one coherence of an exactly Hermitian X state
-    (rho14 or rho23; rho14 for a diagonal state), or None: exact zeros
-    decide, and non-finite states and windows above _REDUCED_MAX_INDEX
-    get None."""
-    if (max(window.n1, window.m1) + 1 > _REDUCED_MAX_INDEX
-            or not np.all(np.isfinite(rho)) or not np.array_equal(rho, rho.conj().T)):
-        return None
-    off = rho != 0
-    off[np.diag_indices(4)] = False
-    for i, j in (_EPR, _NOON):
-        if np.count_nonzero(off) == np.count_nonzero(off[[i, j], [j, i]]):
-            return i, j
-    return None
+def _reduced(stack, window):
+    """Per state of a (T, 4, 4) stack, whether the reduced path takes it:
+    an X state with at most one corner pair set (`states.x_corners`) that
+    meets the reduced quadrature's own conditions, a window up to
+    _REDUCED_MAX_INDEX, finite entries and exact Hermiticity."""
+    outside, corners = x_corners(stack)
+    return (~outside & ~corners.all(axis=-1) & np.isfinite(stack).all(axis=(-2, -1))
+            & (stack == stack.conj().swapaxes(-1, -2)).all(axis=(-2, -1))
+            & (max(window.n1, window.m1) + 1 <= _REDUCED_MAX_INDEX))
 
 
 def _radial_coeffs(m, d):
@@ -519,11 +512,11 @@ def _split_wide(edges, flags, width):
 class _XState:
     """Radial data of one X state on the disk of radius `extent` per mode."""
 
-    def __init__(self, rho, coherence, extent, window):
+    def __init__(self, rho, extent, window):
         self.extent = extent
         self.a, self.b = _Mode(window.n1), _Mode(window.m1)
         self.pop = np.real(np.diag(rho)).reshape(2, 2)  # [i, j]: |n1+i, m1+j>
-        self.amp = 2.0 * abs(rho[coherence])
+        self.amp = 2.0 * max(abs(rho[0, 3]), abs(rho[1, 2]))  # the other is 0
         # Inner edges: 0, the zeros of K_B[m, m+1] (g changes sign there)
         # and the extent.  Outer edges: the same for mode A, and the radii
         # where the leading coefficient of f in rb vanishes, so that a root
@@ -639,15 +632,12 @@ def volume_pair(rho, grid, window=FockWindow()):
     n = grid.points_per_axis
     orders = (n, max(8, 2 * math.ceil(n / 4)))  # half, rounded up to even
     fine, coarse = np.empty(len(stack)), np.empty(len(stack))
-    general = []
-    for k, one in enumerate(stack):
-        coherence = _x_coherence(one, window)
-        if coherence is None:
-            general.append(k)
-            continue
-        x = _XState(one, coherence, grid.extent, window)
+    reduced = _reduced(stack, window)
+    for k in np.flatnonzero(reduced):
+        x = _XState(stack[k], grid.extent, window)
         fine[k], coarse[k] = x.volume(orders[0]), x.volume(orders[1])
-    if general:
+    general = np.flatnonzero(~reduced)
+    if len(general):
         for out, n_pts in zip((fine, coarse), orders):
             out[general] = _streamed_volumes(stack[general], grid.extent, window, n_pts)
     return _value(fine.reshape(rho.shape[:-2])), _value(coarse.reshape(rho.shape[:-2]))

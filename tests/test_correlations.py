@@ -366,6 +366,35 @@ def test_discord_x_rejects_non_x_states():
         co.discord_x(rho)
 
 
+def test_discord_x_decides_from_exact_zeros():
+    # NaN outside the X pattern is not X: a tolerance test (|entry| > 1e-9)
+    # is False on NaN, and discord_x read 0.9427 on this state.
+    rho = states.build_epr(0.6, 0.8)
+    rho[0, 1] = math.nan
+    with pytest.raises(DomainError):
+        co.discord_x(rho)
+    # Any nonzero entry outside the pattern, however small, is not X; -0.0 is
+    # zero.
+    tiny = states.build_epr(0.6, 0.8)
+    tiny[1, 3] = 1e-300
+    with pytest.raises(DomainError):
+        co.discord_x(tiny)
+    signed = states.build_epr(0.6, 0.8)
+    signed[1, 3] = signed[3, 1] = complex(-0.0, -0.0)
+    assert co.discord_x(signed) == co.discord_x(states.build_epr(0.6, 0.8))
+
+
+def test_correlation_report_routes_each_state_by_exact_zeros():
+    # A state 1e-12 off the X pattern takes brute force, within a stack
+    # too; an X state takes the closed form.
+    x = states.build_epr(0.6, 0.8)
+    near = x.copy()
+    near[0, 1] = near[1, 0] = 1e-12
+    rep = co.correlation_report(np.array([x, near]))
+    assert rep.discord[0] == co.discord_x(x)
+    assert rep.discord[1] == co.discord_bruteforce(near)
+
+
 def test_discord_printed_variant_goes_negative():
     # The printed second candidate misses the entropy weights on the
     # population sum; on the Bell state it under-shoots badly.

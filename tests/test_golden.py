@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from twocav import digest
+from twocav import cli, digest
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "figures.json")
 REL_TOL = 1e-10
@@ -53,3 +53,29 @@ def test_figure_columns_match_the_golden_summaries(digests):
             scale = max(abs(float(w["min"])), abs(float(w["max"])))
             for key in ("min", "max", "sum"):
                 assert _close(float(g[key]), float(w[key]), scale), (name, column, key)
+
+
+def test_digest_diff_reports_the_one_changed_field(tmp_path, capsys):
+    # Two trees of three CSVs: one identical, one with a single field
+    # moved, one in tree B only.
+    a, b = tmp_path / "a", tmp_path / "b"
+    rows = [[0.0, 0.25, -1.5], [0.5, 0.125, 2.0], [1.0, 0.0625, 3.0]]
+    for root in (a, b):
+        os.makedirs(root / "sub")
+        cli.write_csv(str(root / "same.csv"), "state = epr", ["t", "x", "y"], rows)
+    moved = [list(r) for r in rows]
+    moved[1][2] = 2.0 + 3e-12
+    cli.write_csv(str(a / "sub" / "moved.csv"), "state = epr", ["t", "x", "y"], rows)
+    cli.write_csv(str(b / "sub" / "moved.csv"), "state = epr", ["t", "x", "y"], moved)
+    cli.write_csv(str(b / "extra.csv"), "state = epr", ["t"], [[0.0]])
+    assert digest.main(["--diff", str(a), str(b)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "extra.csv: only in %s" % b
+    assert lines[1] == "same.csv: byte-identical"
+    assert lines[2] == os.path.join("sub", "moved.csv") + ": 1 of 3 rows changed"
+    assert lines[3].startswith("  y: max |delta| 3") and lines[3].endswith("e-12 in 1 rows")
+    assert len(lines) == 4
+    os.remove(b / "extra.csv")
+    cli.write_csv(str(b / "sub" / "moved.csv"), "state = epr", ["t", "x", "y"], rows)
+    assert digest.main(["--diff", str(a), str(b)]) == 0
+    assert capsys.readouterr().out.count("byte-identical") == 2

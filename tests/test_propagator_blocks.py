@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from twocav import dynamics
+from twocav import dynamics, states, teleport as tp
 from twocav.states import FockWindow
 
 # Invariant blocks of vec(rho) (row-major, index 4 i + j): the populations,
@@ -87,3 +87,36 @@ def test_vacuum_closed_form_is_no_less_accurate_than_expm():
                         worst_closed = max(worst_closed, _error(closed[k, row], ref))
                         worst_expm = max(worst_expm, _error(expm[k, row], ref))
     assert worst_closed <= worst_expm
+
+
+def test_x_structure_survives_every_propagator():
+    # The blocks keep each zero of an X state's rho0 exact, so the X
+    # structure decided on any evolved state is that of rho0: on the closed
+    # form, on both `expm` generators (nbar > 0 and the paper closure) and
+    # on RK4.  Teleporting an X channel gives an X output.
+    times = np.linspace(0.0, 1.5, 7)
+    off_diagonal = ~np.eye(4, dtype=bool)
+    model = dynamics.Markovian(1.0)
+    inputs = [tp.input_state(0.3, 0.7, order) for order in (tp.PRINTED, tp.SYMMETRIC)]
+    for window in (FockWindow(0, 0), FockWindow(1, 2), FockWindow(2, 1)):
+        coherent = states.pure_state(states.coherent_amplitudes_paper(1.3, window))
+        for rho0 in (states.build_epr(0.6, 0.8), states.build_noon(0.8, 0.6),
+                     np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex), coherent):
+            zeros = (rho0 == 0) & off_diagonal
+            runs = [dynamics.evolve_analytic_vacuum(rho0, times, window)]
+            for nbar, closure in ((0.0, dynamics.LEAKY), (0.3, dynamics.LEAKY),
+                                  (0.0, dynamics.PAPER_CLOSURE)):
+                params = dynamics.EvolutionParams(window=window, nbar=nbar,
+                                                  closure_mode=closure)
+                if nbar or closure != dynamics.LEAKY:  # the expm path
+                    runs.append(dynamics.evolve(rho0, params, model, times).states)
+                runs.append(dynamics.evolve_ode(rho0, params, model, times, 20).states)
+            outside0, corners0 = states.x_corners(rho0)
+            for stack in runs:
+                assert not np.any(stack[:, zeros])
+                outside, corners = states.x_corners(stack)
+                assert np.all(outside == outside0) and np.all(corners == corners0)
+                if not outside0:
+                    for inp in inputs:
+                        out = tp.teleport_general(stack, inp).rho_out
+                        assert not np.any(states.x_corners(out)[0])

@@ -215,9 +215,10 @@ def test_volume_stack_mixing_x_and_general_states_matches_per_state_calls():
         [np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)]])
     general = adversarial_states(np.random.default_rng(15))[:4]
     stack = np.concatenate([x_states[:3], general[:2], x_states[3:], general[2:]])
-    paths = [wg._x_coherence(rho, window) for rho in stack]
-    assert sum(p is None for p in paths) == 4 and paths.count(wg._EPR) == 4
-    assert paths.count(wg._NOON) == 3
+    outside, corners = states.x_corners(stack)
+    assert outside.sum() == 4
+    assert corners[~outside].tolist() == [[True, False]] * 3 + [[False, True]] * 3 + [
+        [False, False]]
     grid = wg.PhaseSpaceGrid(wg.default_extent(window), 12)
     fine, coarse = wg.volume_pair(stack, grid, window)
     pairs = [wg.volume_pair(rho, grid, window) for rho in stack]

@@ -124,3 +124,68 @@ def test_validate_reports():
     assert states.validate(bad).hermiticity_defect > 0.0
     with pytest.raises(DomainError):
         states.validate(np.eye(4) / 4.0, tol=0.0)
+
+
+# --- X structure from exact zeros -----------------------------------------
+
+def _with(rho, **entries):
+    """A copy of rho with entries set, keyed like r01 for rho[0, 1]."""
+    out = np.array(rho, dtype=complex)
+    for key, value in entries.items():
+        out[int(key[1]), int(key[2])] = value
+    return out
+
+
+_EPR = states.build_epr(0.6, 0.8)
+_NOON = states.build_noon(0.8, 0.6)
+_DIAG = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
+_NEG_ZERO = complex(-0.0, -0.0)
+# (state, any entry outside the X pattern nonzero, [rho14/41, rho23/32 nonzero])
+X_CASES = {
+    "epr": (_EPR, False, [True, False]),
+    "noon": (_NOON, False, [False, True]),
+    "diagonal": (_DIAG, False, [False, False]),
+    "both corners": (_with(_EPR, r12=1e-300, r21=1e-300), False, [True, True]),
+    "tiny entry outside": (_with(_EPR, r01=1e-300, r10=1e-300), True, [True, False]),
+    "subnormal outside": (_with(_NOON, r13=5e-324), True, [False, True]),
+    "-0.0 outside": (_with(_EPR, r01=_NEG_ZERO, r10=-0.0, r32=_NEG_ZERO), False,
+                     [True, False]),
+    "-0.0 corner": (_with(_DIAG, r03=_NEG_ZERO, r30=-0.0), False, [False, False]),
+    "nan outside": (_with(_EPR, r01=math.nan), True, [True, False]),
+    "nan imaginary part outside": (_with(_DIAG, r20=complex(0.0, math.nan)), True,
+                                   [False, False]),
+    "inf outside": (_with(_NOON, r23=math.inf), True, [False, True]),
+    "nan corner": (_with(_DIAG, r12=math.nan), False, [False, True]),
+    "nan diagonal": (_with(_EPR, r00=math.nan), False, [True, False]),
+    "rho41 only": (_with(_DIAG, r30=0.2), False, [True, False]),
+    "rho32 only": (_with(_DIAG, r21=0.2j), False, [False, True]),
+    "rho14 and rho32 only": (_with(_DIAG, r03=0.1, r21=0.1), False, [True, True]),
+}
+
+
+@pytest.mark.parametrize("name", list(X_CASES))
+def test_x_corners_of_one_state(name):
+    rho, outside, corners = X_CASES[name]
+    got_outside, got_corners = states.x_corners(rho)
+    assert got_outside.shape == () and got_corners.shape == (2,)
+    assert bool(got_outside) is outside
+    assert got_corners.tolist() == corners
+
+
+def test_x_corners_of_stacks_match_each_state():
+    # Every case in one stack, in a shuffled order and reshaped to (2, T/2),
+    # and as real arrays where the states are real.
+    rng = np.random.default_rng(23)
+    names = list(X_CASES)
+    order = rng.permutation(len(names))
+    stack = np.array([X_CASES[names[k]][0] for k in order])
+    outside, corners = states.x_corners(stack)
+    assert outside.tolist() == [X_CASES[names[k]][1] for k in order]
+    assert corners.tolist() == [X_CASES[names[k]][2] for k in order]
+    outside2, corners2 = states.x_corners(stack.reshape(2, -1, 4, 4))
+    assert outside2.ravel().tolist() == outside.tolist()
+    assert corners2.reshape(-1, 2).tolist() == corners.tolist()
+    real = np.array([_EPR.real, _with(_DIAG, r01=-0.0).real, _with(_DIAG, r01=0.5).real])
+    outside, corners = states.x_corners(real)
+    assert outside.tolist() == [False, False, True]
+    assert corners.tolist() == [[True, False], [False, False], [False, False]]

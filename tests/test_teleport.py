@@ -130,6 +130,37 @@ def test_closed_forms_reject_wrong_sparsity():
         tp.closed_form_noon(epr, 0.0, 1.0)
 
 
+def test_closed_forms_reject_nan_outside_their_pattern():
+    # A tolerance test (abs(entry) > 1e-10) is False on NaN, so it let
+    # this channel through: closed_form_epr read (0.5, 0.4608, 0.0).
+    rho = states.build_epr(0.6, 0.8)
+    rho[0, 1] = math.nan
+    with pytest.raises(PatternError, match=r"\(1, 2\)"):
+        tp.closed_form_epr(rho, 0.0, 1.0)
+    noon = states.build_noon(0.8, 0.6)
+    noon[3, 0] = complex(0.0, math.nan)
+    with pytest.raises(PatternError, match=r"\(4, 1\)"):
+        tp.closed_form_noon(noon, 0.0, 1.0)
+
+
+def test_closed_forms_decide_each_channel_from_exact_zeros():
+    # -0.0 is zero; 1e-300 is not; the error names the first nonzero entry
+    # (row-major) of the first channel of a stack that has one.
+    epr = states.build_epr(0.6, 0.8)
+    signed = epr.copy()
+    signed[0, 1] = signed[2, 1] = complex(-0.0, -0.0)
+    tiny = epr.copy()
+    tiny[2, 1] = tiny[1, 0] = 1e-300
+    assert tp.closed_form_epr(signed, 0.0, 1.0) == tp.closed_form_epr(epr, 0.0, 1.0)
+    stack = np.array([epr, signed, epr])
+    c1, c2, c3 = tp.closed_form_epr(stack, 0.1, 0.5)
+    assert c2.tolist() == [tp.closed_form_epr(r, 0.1, 0.5)[1] for r in stack]
+    with pytest.raises(PatternError, match=r"\(2, 1\)"):
+        tp.closed_form_epr(np.array([epr, tiny, states.build_noon(0.8, 0.6)]), 0.0, 1.0)
+    with pytest.raises(PatternError, match=r"\(1, 4\)"):
+        tp.closed_form_noon(np.array([states.build_noon(0.8, 0.6), epr]), 0.0, 1.0)
+
+
 def test_closed_form_equals_general_on_balanced_inputs():
     # Full matrix equality holds when the input populations are balanced.
     rho0 = states.build_epr(INV_SQRT2, INV_SQRT2)

@@ -22,7 +22,7 @@ C4 = 4.0 / math.pi**2
 def _x_state(rng, kind):
     d = rng.dirichlet(np.ones(4))
     rho = np.diag(d).astype(complex)
-    i, j = wg._EPR if kind == "epr" else wg._NOON
+    i, j = states.X_CORNERS[0 if kind == "epr" else 1]
     rho[i, j] = rng.random() * math.sqrt(d[i] * d[j]) * np.exp(2j * math.pi * rng.random())
     rho[j, i] = np.conj(rho[i, j])
     return rho
@@ -95,7 +95,7 @@ def test_radial_form_reproduces_the_wigner_function(kind):
     rng = np.random.default_rng(22)
     window = FockWindow(1, 2)
     rho = _x_state(rng, kind)
-    x = wg._XState(rho, wg._x_coherence(rho, window), 5.0, window)
+    x = wg._XState(rho, 5.0, window)
     for ra, rb in rng.uniform(0.05, 2.0, (4, 2)):
         a, b = C4 * x.a.values(np.array(ra)), x.b.values(np.array(rb))
         f = (x.pop.T @ a[:2]) @ b[:2]
@@ -155,25 +155,24 @@ def test_roots_of_degenerate_rows():
 # --- routing --------------------------------------------------------------
 
 def test_routing_decides_from_exact_zeros():
+    # The X structure is states.x_corners' (its cases are in test_states.py):
+    # one corner pair at most.  The reduced path adds its own guards.
     w = FockWindow(0, 0)
     epr, noon = states.build_epr(0.6, 0.8), states.build_noon(0.8, 0.6)
-    assert wg._x_coherence(epr, w) == wg._EPR
-    assert wg._x_coherence(noon, w) == wg._NOON
-    assert wg._x_coherence(np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex), w) == wg._EPR
     both = epr.copy()
     both[1, 2] = both[2, 1] = 1e-300
-    assert wg._x_coherence(both, w) is None
     off = epr.copy()
     off[0, 1] = off[1, 0] = 1e-300
-    assert wg._x_coherence(off, w) is None
+    diag = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    assert wg._reduced(np.array([epr, noon, diag, both, off]), w).tolist() == [
+        True, True, True, False, False]
     skew = epr.copy()
     skew[3, 0] = np.nextafter(skew[3, 0].real, 1.0)
-    assert wg._x_coherence(skew, w) is None
-    assert wg._x_coherence(epr, FockWindow(0, wg._REDUCED_MAX_INDEX)) is None
-    assert wg._x_coherence(epr, FockWindow(wg._REDUCED_MAX_INDEX - 1, 0)) == wg._EPR
     bad = epr.copy()
     bad[0, 0] = np.inf
-    assert wg._x_coherence(bad, w) is None
+    assert wg._reduced(np.array([epr, skew, bad]), w).tolist() == [True, False, False]
+    assert not wg._reduced(epr[None], FockWindow(0, wg._REDUCED_MAX_INDEX))[0]
+    assert wg._reduced(epr[None], FockWindow(wg._REDUCED_MAX_INDEX - 1, 0))[0]
 
 
 def test_non_x_states_keep_the_streamed_path_bit_for_bit():
@@ -192,7 +191,7 @@ def test_non_x_states_keep_the_streamed_path_bit_for_bit():
 def test_non_hermitian_x_state_raises_on_the_streamed_path():
     rho = states.build_epr(0.6, 0.8)
     rho[3, 0] = 0.2  # rho41 != conj(rho14): W has an imaginary part
-    assert wg._x_coherence(rho, FockWindow()) is None
+    assert not wg._reduced(rho[None], FockWindow())[0]
     with pytest.raises(ConsistencyError):
         wg.volume_pair(rho, wg.PhaseSpaceGrid(6.0, 10))
 
@@ -232,6 +231,23 @@ def test_fig5_volumes_converge_in_the_radial_nodes():
         assert np.max(np.abs(fine - twice)) <= 1e-9, name
         if name == "fig5b_volume":
             assert 0.24112777 <= fine[-1] < 0.24112778
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "next to an escape radius, where a kink root comes in from infinity, "
+    "the outer integrand varies on a scale finer than the outer panels: "
+    "32 nodes read 0.443706897 here, 9.0e-6 below 128 nodes"))
+def test_reduced_volume_converges_next_to_an_escape_radius():
+    # A diagonal state on window (1, 3), where 128 and 256 nodes agree to
+    # 2.5e-12.  The reference gets its own _XState, because the outer edges
+    # that one volume call finds stay for the next.
+    window = FockWindow(1, 3)
+    rho = np.diag([0.1824054125781749, 0.254710915234715, 0.2819291847511629,
+                   0.28095448743594725]).astype(complex)
+    extent = wg.default_extent(window)
+    fine, _ = wg.volume_pair(rho, wg.PhaseSpaceGrid(extent, 32), window)
+    reference = wg._XState(rho, extent, window).volume(128)
+    assert abs(fine - reference) <= 1e-9
 
 
 def test_reduced_path_resolves_the_noon_gate_case(tmp_path):

@@ -192,7 +192,7 @@ def test_volume_convergence_error_carries_both_values(tmp_path):
     scn = scenario.parse_scenario(
         "schema = 1\nstate = coherent\nnbar_prime = 2.0\nmodel = markovian\n"
         "t_max = 0\nsteps = 2\npoints = 16\n")
-    assert wg._x_coherence(scn.rho0, scn.window) is None
+    assert states.x_corners(scn.rho0)[0]
     with pytest.raises(QuadratureConvergenceError) as err:
         cli.run_scenario(scn, [("volume", "volume")], str(tmp_path))
     fine, coarse = err.value.fine, err.value.coarse
