@@ -366,17 +366,27 @@ class _Mode:
             xrow[len(xrow) - len(c):] = c
             rrow[len(rrow) - 1 - d - 2 * np.arange(len(c) - 1, -1, -1)] = c
 
-    def polys(self, r):
-        """The three elements at r without their e^{-2 r^2}: (3,) + r.shape,
-        from the Laguerre recurrence as in `displaced_parity`."""
+    def _terms(self, r):
+        """The three elements at r without their e^{-2 r^2}, from the
+        Laguerre recurrence as in `displaced_parity` (the first is a scalar
+        at index 0)."""
         n, x = self.index, 4.0 * r * r
-        return np.stack([
-            np.broadcast_to((-1.0) ** n * laguerre_assoc(n, 0, x), x.shape),
-            (-1.0) ** (n + 1) * laguerre_assoc(n + 1, 0, x),
-            (-1.0) ** (n + 1) / math.sqrt(n + 1) * (-2.0 * r) * laguerre_assoc(n, 1, x)])
+        return ((-1.0) ** n * laguerre_assoc(n, 0, x),
+                (-1.0) ** (n + 1) * laguerre_assoc(n + 1, 0, x),
+                (-1.0) ** (n + 1) / math.sqrt(n + 1) * (-2.0 * r) * laguerre_assoc(n, 1, x))
+
+    def polys(self, r):
+        """`_terms` stacked: (3,) + r.shape."""
+        return np.stack(np.broadcast_arrays(*self._terms(r)))
+
+    def elements(self, r):
+        """The three elements at r, each of r's shape, in a tuple."""
+        e = np.exp(-2.0 * r * r)
+        return tuple(t * e for t in self._terms(r))
 
     def values(self, r):
-        return self.polys(r) * np.exp(-2.0 * r * r)
+        """`elements` stacked: (3,) + r.shape."""
+        return np.stack(self.elements(r))
 
 
 # A root pair that is double to within rounding comes out of the companion
@@ -491,10 +501,14 @@ def _merge_edges(fixed, kinks, hi):
 
 # Outer panels wider than this are cut (a kink end maps its panel's nodes
 # towards it, which thins them elsewhere); at most _MAX_CRITICAL outer edges
-# come from the roots; _CHUNK outer nodes are integrated at a time.
+# come from the roots; _CHUNK outer nodes share one set of inner edges, and
+# their inner nodes are evaluated in blocks of rows of about _ELEMENTS nodes
+# (at least one row), which bounds the working set.  A block's rows are
+# summed one by one over the chunk's width, so the block size moves no bit.
 _OUTER_WIDTH = 3.0
 _MAX_CRITICAL = 1024
 _CHUNK = 128
+_ELEMENTS = 8192
 
 
 def _split_wide(edges, flags, width):
@@ -602,14 +616,19 @@ class _XState:
         a = (4.0 / math.pi**2) * self.a.values(ra)
         c, amp = self.pop.T @ a[:2], self.amp * a[2]
         total = 0.0
-        for rows in range(0, len(ra), _CHUNK):  # bounds the (rows, rb nodes) arrays
-            rows = slice(rows, rows + _CHUNK)
-            edges, flags = _merge_edges(self.inner, kinks[rows], self.extent)
-            rb, wb = _panel_nodes(edges, flags, q)
-            b = self.b.values(rb)
-            f = c[0, rows, None] * b[0] + c[1, rows, None] * b[1]
-            inner = np.sum(wb * rb * _angular_abs(f, amp[rows, None] * b[2]), axis=1)
-            total += float(np.dot(wa[rows] * ra[rows], inner))
+        for start in range(0, len(ra), _CHUNK):
+            chunk = slice(start, start + _CHUNK)
+            edges, flags = _merge_edges(self.inner, kinks[chunk], self.extent)
+            c0, c1, g_amp = c[0, chunk, None], c[1, chunk, None], amp[chunk, None]
+            inner = np.empty(len(edges))
+            step = max(1, _ELEMENTS // ((edges.shape[1] - 1) * q))
+            for s in range(0, len(edges), step):
+                rows = slice(s, s + step)
+                rb, wb = _panel_nodes(edges[rows], flags[rows], q)
+                b0, b1, b2 = self.b.elements(rb)
+                f = c0[rows] * b0 + c1[rows] * b1
+                inner[rows] = np.sum(wb * rb * _angular_abs(f, g_amp[rows] * b2), axis=1)
+            total += float(np.dot(wa[chunk] * ra[chunk], inner))
         return 0.5 * (2.0 * math.pi * total - 1.0)
 
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -231,6 +232,73 @@ def test_fig5_volumes_converge_in_the_radial_nodes():
         assert np.max(np.abs(fine - twice)) <= 1e-9, name
         if name == "fig5b_volume":
             assert 0.24112777 <= fine[-1] < 0.24112778
+
+
+# --- the working set of the radial quadrature -----------------------------
+
+_PANEL_NODES = wg._panel_nodes
+
+
+def _blocked_volume(monkeypatch, rho, extent, window, q, budget):
+    """A fresh _XState's volume at q nodes with the block budget set to
+    `budget` nodes, and the (rows, nodes per row) of every inner block."""
+    monkeypatch.setattr(wg, "_ELEMENTS", budget)
+    blocks = []
+
+    def spy(edges, kinks, q):
+        nodes, weights = _PANEL_NODES(edges, kinks, q)
+        if edges.ndim == 2:  # the inner nodes; the outer edges are one row
+            blocks.append(nodes.shape)
+        return nodes, weights
+
+    monkeypatch.setattr(wg, "_panel_nodes", spy)
+    return wg._XState(rho, extent, window).volume(q), blocks
+
+
+def _random_x_states():
+    rng = np.random.default_rng(26)
+    for window in (FockWindow(2, 1), FockWindow(3, 3), FockWindow(1, 4)):
+        for kind in ("epr", "noon", "diag"):
+            rho = (np.diag(rng.dirichlet(np.ones(4))).astype(complex) if kind == "diag"
+                   else _x_state(rng, kind))
+            yield rho, wg.default_extent(window), window, 16
+
+
+def test_reduced_volume_bits_do_not_depend_on_the_block_rows(monkeypatch):
+    # Budgets of more than a chunk (one block per chunk), of one row and of
+    # three rows of the widest chunk (3 does not divide _CHUNK); windows
+    # with more than one chunk of outer nodes cover the chunk boundaries.
+    cases = [(rho, scn.grid.extent, scn.window, scn.grid.points_per_axis)
+             for _, scn, stack in _fig5_panels() for rho in stack]
+    cases += list(_random_x_states())
+    several = 0
+    for rho, extent, window, q in cases:
+        whole, chunks = _blocked_volume(monkeypatch, rho, extent, window, q, 2**40)
+        assert all(rows == wg._CHUNK for rows, _ in chunks[:-1])
+        several += len(chunks) > 1
+        widest = max(width for _, width in chunks)
+        one, blocks = _blocked_volume(monkeypatch, rho, extent, window, q, 1)
+        assert one == whole and {rows for rows, _ in blocks} == {1}
+        three, blocks = _blocked_volume(monkeypatch, rho, extent, window, q, 3 * widest)
+        assert three == whole and (3, widest) in blocks
+    assert several >= 10
+
+
+def test_reduced_volume_peak_allocation():
+    # The fig5b configuration: an EPR state on window (0, 2) at 64 points.
+    # The inner blocks hold about _ELEMENTS nodes (some ten arrays of them
+    # at 8 bytes each); a whole 128-row chunk at once peaked at 7.4 MB.
+    scn = cli._scn(**cli.FIGURES["fig5"][1][0])
+    assert (scn.window, scn.grid.points_per_axis) == (FockWindow(0, 2), 64)
+    assert scn.grid.extent == wg.default_extent(scn.window)
+    wg.volume_pair(scn.rho0, scn.grid, scn.window)  # fills the rule cache
+    tracemalloc.start()
+    try:
+        wg.volume_pair(scn.rho0, scn.grid, scn.window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
