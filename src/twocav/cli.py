@@ -82,7 +82,7 @@ VOLUME_GATE = 0.05  # largest tolerated drift between the two resolutions
 
 
 def _volume_table(scn, traj):
-    volume, volume_half = wigner.volume_pair(traj.states, scn.grid, scn.window)
+    volume, volume_half = wigner.volume_pair(traj.states, scn.points, scn.window)
     # Written so that a NaN volume fails the gate too.
     failed = ~(np.abs(volume - volume_half) <= VOLUME_GATE)
     if failed.any():

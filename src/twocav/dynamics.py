@@ -266,9 +266,10 @@ def _output_states(vecs, times):
     return 0.5 * (mats + mats.conj().swapaxes(-1, -2))
 
 
-# Grid times per `expm` call.  Batching saves the per-call overhead, and a
-# short chunk keeps only a few (16, 16) blocks and their Pade work arrays
-# alive at once, so peak memory does not grow with the trajectory.
+# Grid times per `expm` call.  Batching saves the per-call overhead.  scipy's
+# `expm` keeps one (5, 16, 16) Pade work array per call and loops over the
+# slices, so the chunk bounds the (chunk, 16, 16) input and output stacks:
+# peak memory does not grow with the trajectory.
 _EXPM_CHUNK = 8
 
 

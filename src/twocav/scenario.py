@@ -2,10 +2,11 @@
 
 A scenario file is the whole description of a run.  `parse_scenario`
 resolves it into a `Scenario` that holds every object a run uses: the
-evolution parameters, the initial state, the time grid, the volume grid
-and the teleport input.  Each is built once, there, so each value is
-checked by the object that uses it, bad input fails before anything is
-evolved, and the table builders read the stored objects.
+evolution parameters, the initial state, the time grid, the points per
+axis of the negativity volume (whose extent follows from the window in
+`wigner`) and the teleport input.  Each is built once, there, so each
+value is checked by the object that uses it, bad input fails before
+anything is evolved, and the table builders read the stored objects.
 """
 
 import math
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dynamics, states, teleport, wigner
+from . import dynamics, states, teleport
 from .errors import DomainError, ScenarioError
 
 SCHEMA_VERSION = 1
@@ -44,7 +45,7 @@ class Scenario:
     evolution: dynamics.EvolutionParams
     rho0: np.ndarray
     times: np.ndarray
-    grid: wigner.PhaseSpaceGrid  # phase-space grid of the negativity volume
+    points: int  # per axis of the negativity volume (`wigner.volume_pair`)
     teleport_input: teleport.InputState
     raw: dict
 
@@ -142,15 +143,17 @@ def parse_scenario(text):
     t_max = _required(values, "t_max")
     if t_max < 0:
         raise ScenarioError("t_max must be non-negative")
+    # The upper bounds of steps and points cap what a run allocates; README
+    # "Command line" gives the allocation measured at each.
     steps = _required(values, "steps")
-    if steps < 2:
-        raise ScenarioError("steps must be at least 2")
+    if not 2 <= steps <= 10000:
+        raise ScenarioError("steps must be between 2 and 10000")
 
     # The volume gate compares the grid with one of half the points, never
     # fewer than 8: an 8-point grid would be compared with itself.
     points = values.get("points", 32)
-    if points < 10 or points % 2:
-        raise ScenarioError("points must be even and at least 10")
+    if not 10 <= points <= 128 or points % 2:
+        raise ScenarioError("points must be even and between 10 and 128")
 
     try:
         window = states.FockWindow(n1=values.get("n1", 0), m1=values.get("m1", 0))
@@ -163,8 +166,7 @@ def parse_scenario(text):
                 closure_mode=values.get("closure", dynamics.LEAKY)),
             rho0=_initial_state(state, values, window),
             times=np.linspace(0.0, t_max, steps) if t_max else np.array([0.0]),
-            grid=wigner.PhaseSpaceGrid(extent=wigner.default_extent(window),
-                                       points_per_axis=points),
+            points=points,
             teleport_input=teleport.input_state(
                 values.get("p", 0.0), values.get("q", 1.0),
                 values.get("index_order", teleport.PRINTED)),

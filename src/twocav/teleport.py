@@ -21,18 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import correlations
-from .correlations import _value
+from .correlations import _PAULI_PAIRS, _value
 from .errors import DomainError, PatternError
 from .states import X_CORNERS, x_corners
 
 PRINTED = "printed"
 SYMMETRIC = "symmetric"
-
-_I2 = np.eye(2)
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
-_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
-_PAULI = (_I2, _SX, _SY, _SZ)
 
 
 def _read_only(a):
@@ -52,8 +46,9 @@ BELL_PROJECTORS = (
     _bell([0.0, 1.0, 1.0, 0.0]),    # E^z = |psi+>
 )
 
-# sigma_a x sigma_b at index 4a + b, and sigma_b x sigma_a at the same index.
-_KRON = _read_only(np.array([np.kron(sa, sb) for sa in _PAULI for sb in _PAULI]))
+# sigma_a x sigma_b at index 4a + b (the `correlations` array, shared), and
+# sigma_b x sigma_a at the same index.
+_KRON = _read_only(_PAULI_PAIRS)
 _KRON_SWAPPED = _read_only(_KRON[[4 * b + a for a in range(4) for b in range(4)]])
 
 

@@ -11,20 +11,23 @@ table, gives W; a single point is the G = 1 case.
 stack; a stack gets arrays back, each value bit-identical to that of its
 state on its own.
 
-`volume_pair` decides its path state by state, from exact zeros
-(`states.x_corners`, the one X-structure test of the package).  An
-exactly Hermitian state whose only coherence is rho14 (EPR type) or rho23
-(NOON type) has W = f + g cos(phi_a +- phi_b - chi) in polar coordinates,
-so the two phase angles integrate in closed form and the two radii are
-integrated over the disk of radius L per mode with Gauss-Legendre panels
-that end on the kinks of |W| (see the X-state section below); `points` is
-then the number of nodes on each radial panel.  Every other state takes
-the trapezoid rule on the box [-L, L]^4 with `points` points per axis.
-That path never holds the full field: it takes |W| of one state one block
-of Im beta columns at a time and contracts each block over the other three
-axes with the same trapezoid sums as `integrate_field`, so it matches the
-unstreamed quadrature of `wigner_field` bit for bit.  On either path the
-coarse twin is the same rule at half the points.
+`volume_pair` and `wigner_field` take an even number of points, at least
+8, and reach L = default_extent(window) along each quadrature axis, the
+one extent of the package.  `volume_pair` decides its path state by state,
+from exact zeros (`states.x_corners`, the one X-structure test of the
+package).  An exactly Hermitian state whose only coherence is rho14 (EPR
+type) or rho23 (NOON type) has W = f + g cos(phi_a +- phi_b - chi) in
+polar coordinates, so the two phase angles integrate in closed form and
+the two radii are integrated over the disk of radius L per mode with
+Gauss-Legendre panels that end on the kinks of |W| (see the X-state
+section below); `points` is then the number of nodes on each radial
+panel.  Every other state takes the trapezoid rule on the box [-L, L]^4
+with `points` points per axis.  That path never holds the full field: it
+takes |W| of one state one block of Im beta columns at a time and
+contracts each block over the other three axes with the same trapezoid
+sums as `integrate_field`, so it matches the unstreamed quadrature of
+`wigner_field` bit for bit.  On either path the coarse twin is the same
+rule at half the points.
 
 The Laguerre closed form `displaced_parity` fills every table; the printed
 closed form it replaces is `errata.displaced_parity_printed`.
@@ -46,31 +49,19 @@ from .states import FockWindow, x_corners
 IMAG_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class PhaseSpaceGrid:
-    """Uniform grid on [-L, L] per quadrature axis (Re/Im alpha, Re/Im beta)."""
-
-    extent: float = 6.0
-    points_per_axis: int = 32
-
-    def __post_init__(self):
-        if not self.extent > 0:
-            raise DomainError("grid extent must be positive")
-        if self.points_per_axis < 8 or self.points_per_axis % 2:
-            raise DomainError("points_per_axis must be even and >= 8")
-
-    def axis(self):
-        return np.linspace(-self.extent, self.extent, self.points_per_axis)
-
-
 @dataclass
 class WignerField:
-    grid: PhaseSpaceGrid
+    extent: float  # the box [-extent, extent] per quadrature axis
     values: np.ndarray  # shape (n, n, n, n), axes (Re a, Im a, Re b, Im b)
 
 
 def default_extent(window):
     return 5.0 + math.sqrt(window.n1 + window.m1 + 1.0)
+
+
+def _check_points(points):
+    if points < 8 or points % 2:
+        raise DomainError("points must be even and >= 8")
 
 
 def laguerre_assoc(n, k, x):
@@ -227,27 +218,29 @@ def wigner_joint(rho, alpha, beta, window=FockWindow()):
     return _value(w[..., 0, 0])
 
 
-def _grid_points(grid):
-    """Complex points of one mode's (Re, Im) grid, Re major."""
-    ax = grid.axis()
+def _grid_points(extent, points):
+    """Complex points of one mode's (Re, Im) grid on [-extent, extent], Re major."""
+    ax = np.linspace(-extent, extent, points)
     return (ax[:, None] + 1j * ax[None, :]).ravel()
 
 
-def wigner_field(rho, grid, window=FockWindow()):
-    """Wigner function evaluated on the full 4-dimensional grid.
+def wigner_field(rho, points, window=FockWindow()):
+    """Wigner function on the full 4-dimensional grid of `points` points per
+    axis over [-L, L], L = default_extent(window).
 
     Holds the whole complex field, G^2 values for G points per mode; no
     production path calls it.  It is the unstreamed reference for the
     streamed quadrature in `volume_pair`.
     """
-    pts = _grid_points(grid)
+    _check_points(points)
+    extent = default_extent(window)
+    pts = _grid_points(extent, points)
     w = _contract(_left(rho, _k_tables(pts, window.n1)), _k_tables(pts, window.m1))
-    return WignerField(grid=grid, values=w.reshape((grid.points_per_axis,) * 4))
+    return WignerField(extent=extent, values=w.reshape((points,) * 4))
 
 
-def _trapezoid_weights(grid):
-    n, L = grid.points_per_axis, grid.extent
-    h = 2.0 * L / (n - 1)
+def _trapezoid_weights(extent, n):
+    h = 2.0 * extent / (n - 1)
     w = np.full(n, h)
     w[0] = w[-1] = 0.5 * h
     return w
@@ -261,8 +254,9 @@ def _trapezoid(values, w, axes):
 
 
 def integrate_field(field):
-    """Tensor-product trapezoidal integral of the field over the grid."""
-    return float(_trapezoid(field.values, _trapezoid_weights(field.grid), 4))
+    """Tensor-product trapezoidal integral of the field over its grid."""
+    w = _trapezoid_weights(field.extent, len(field.values))
+    return float(_trapezoid(field.values, w, 4))
 
 
 # Im beta columns per streamed block.  Only some widths keep the BLAS
@@ -289,13 +283,14 @@ def _abs_integral(left, kb, w):
 
 
 def _streamed_volumes(stack, extent, window, n_pts):
-    """Trapezoidal volumes of a (T, 4, 4) stack on the n_pts-point box grid."""
-    g = PhaseSpaceGrid(extent=extent, points_per_axis=n_pts)
-    pts = _grid_points(g)
-    left = _left(stack, _k_tables(pts, window.n1))
+    """Trapezoidal volumes of a (T, 4, 4) stack on the n_pts-point box grid
+    over [-extent, extent]^4.  Each state's `_left` factor is formed in
+    turn, so the working set does not grow with T."""
+    pts = _grid_points(extent, n_pts)
+    ka = _k_tables(pts, window.n1)
     kb = _k_tables(pts, window.m1).reshape(n_pts, n_pts, 4)
-    w = _trapezoid_weights(g)
-    v = [_abs_integral(one, kb, w) for one in left]
+    w = _trapezoid_weights(extent, n_pts)
+    v = [_abs_integral(_left(one, ka), kb, w) for one in stack]
     return 0.5 * (np.array(v) - 1.0)
 
 
@@ -632,31 +627,32 @@ class _XState:
         return 0.5 * (2.0 * math.pi * total - 1.0)
 
 
-def volume_pair(rho, grid, window=FockWindow()):
+def volume_pair(rho, points, window=FockWindow()):
     """Negativity volume V = (1/2)(integral of |W| - 1), unclamped, at two
     resolutions whose gap the CLI gates (`cli.VOLUME_GATE`).  A stack of
     states gets two arrays, each value that of its state on its own.
 
-    Exactly Hermitian X states (coherence only in rho14 or rho23) take the
-    reduced path: the phase angles in closed form and the two radii over
-    the disk of radius `grid.extent` per mode, with `points_per_axis`
-    Gauss-Legendre nodes on every radial panel.  Every other state takes
-    the trapezoid rule on the box grid of `points_per_axis` points per
-    axis.  The coarse twin uses half the points (rounded up to even, at
-    least 8) on the same path, so only grids of 10 or more points get a
-    coarser twin.
+    Both paths integrate out to L = default_extent(window) per quadrature
+    axis.  Exactly Hermitian X states (coherence only in rho14 or rho23)
+    take the reduced path: the phase angles in closed form and the two
+    radii over the disk of radius L per mode, with `points` Gauss-Legendre
+    nodes on every radial panel.  Every other state takes the trapezoid
+    rule on the box [-L, L]^4 with `points` points per axis.  The coarse
+    twin uses half the points (rounded up to even, at least 8) on the same
+    path, so only 10 or more points get a coarser twin.
     """
+    _check_points(points)
+    extent = default_extent(window)
     rho = np.asarray(rho, dtype=complex)
     stack = rho.reshape(-1, 4, 4)
-    n = grid.points_per_axis
-    orders = (n, max(8, 2 * math.ceil(n / 4)))  # half, rounded up to even
+    orders = (points, max(8, 2 * math.ceil(points / 4)))  # half, rounded up to even
     fine, coarse = np.empty(len(stack)), np.empty(len(stack))
     reduced = _reduced(stack, window)
     for k in np.flatnonzero(reduced):
-        x = _XState(stack[k], grid.extent, window)
+        x = _XState(stack[k], extent, window)
         fine[k], coarse[k] = x.volume(orders[0]), x.volume(orders[1])
     general = np.flatnonzero(~reduced)
     if len(general):
         for out, n_pts in zip((fine, coarse), orders):
-            out[general] = _streamed_volumes(stack[general], grid.extent, window, n_pts)
+            out[general] = _streamed_volumes(stack[general], extent, window, n_pts)
     return _value(fine.reshape(rho.shape[:-2])), _value(coarse.reshape(rho.shape[:-2]))

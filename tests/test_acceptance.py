@@ -148,8 +148,7 @@ def test_criterion_6_wigner_checks():
     w0 = wigner.wigner_joint(vacuum, 0.0, 0.0, window)
     ok &= abs(w0 - 4.0 / math.pi**2) <= 1e-10
 
-    grid = wigner.PhaseSpaceGrid(extent=5.0, points_per_axis=48)
-    field = wigner.wigner_field(vacuum, grid, window)
+    field = wigner.wigner_field(vacuum, 48, window)
     ok &= abs(wigner.integrate_field(field) - 1.0) <= 1e-3
 
     for m, mp, alpha in ((0, 0, 0.7 + 0.3j), (1, 2, -0.4 + 0.9j),
@@ -163,8 +162,8 @@ def test_criterion_6_wigner_checks():
 
     fock01 = np.zeros((4, 4), dtype=complex)
     fock01[1, 1] = 1.0
-    v_fock, _ = wigner.volume_pair(fock01, grid, window)
-    v_vac, _ = wigner.volume_pair(vacuum, grid, window)
+    v_fock, _ = wigner.volume_pair(fock01, 48, window)
+    v_vac, _ = wigner.volume_pair(vacuum, 48, window)
     ok &= v_fock > 0.01 and v_vac < 1e-3
     _report(6, ok)
 

@@ -79,3 +79,18 @@ def test_digest_diff_reports_the_one_changed_field(tmp_path, capsys):
     cli.write_csv(str(b / "sub" / "moved.csv"), "state = epr", ["t", "x", "y"], rows)
     assert digest.main(["--diff", str(a), str(b)]) == 0
     assert capsys.readouterr().out.count("byte-identical") == 2
+
+
+def test_digest_main_writes_the_digest_file(tmp_path, monkeypatch, capsys):
+    # The regeneration branch: one space of indent, sorted keys and a final
+    # newline, so a regenerated digest diffs line by line.
+    fake = {"fingerprint": {"python": "3"},
+            "figures": {"b.csv": {"sha256": "00"}, "a.csv": {"sha256": "11"}}}
+    monkeypatch.setattr(digest, "figure_digest", lambda out_dir: fake)
+    out = tmp_path / "golden" / "figures.json"
+    assert digest.main(["--out", str(out)]) == 0
+    assert out.read_text() == (
+        '{\n "figures": {\n  "a.csv": {\n   "sha256": "11"\n  },\n'
+        '  "b.csv": {\n   "sha256": "00"\n  }\n },\n'
+        ' "fingerprint": {\n  "python": "3"\n }\n}\n')
+    assert capsys.readouterr().out == "%s\n" % out

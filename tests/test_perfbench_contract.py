@@ -40,3 +40,10 @@ def test_figure_headers_parse_back_to_the_same_scenario(figure_id):
             comment = summary + cli.TABLES[command][2]
             text = oracles._scenario_text(comment, oracles._SCENARIO_KEYS)
             assert scenario.parse_scenario(text).summary() == summary
+
+
+def test_scenario_accessors_the_benchmark_reads():
+    # perfbench/oracles.py rebuilds each trajectory from these two.
+    scn = cli._scn(**cli.FIGURES["fig2"][0][0])
+    assert scn.params() is scn.evolution
+    assert scn.initial_state() is scn.rho0

@@ -233,6 +233,19 @@ def test_cli_volume_eight_points_exit_2(tmp_path):
     assert not (tmp_path / "volume.csv").exists()
 
 
+def test_cli_huge_steps_and_points_exit_2(tmp_path):
+    # Both upper bounds hold at parse, before the time grid or a phase-space
+    # table is allocated; the bounds themselves parse.
+    for text in (BASE.replace("steps = 10", "steps = %d" % 10**15),
+                 BASE.replace("steps = 10", "steps = 10001"),
+                 BASE + "points = 130\n", BASE + "points = %d\n" % 10**12):
+        path = _write(tmp_path, text)
+        assert cli.main(["volume", "--scenario", path, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "volume.csv").exists()
+    scn = sc.parse_scenario(BASE.replace("steps = 10", "steps = 10000") + "points = 128\n")
+    assert (len(scn.times), scn.points) == (10000, 128)
+
+
 def test_cli_paper_elements_rejected(tmp_path):
     path = _write(tmp_path, BASE + "elements = paper\n")
     for command in ("wigner", "volume"):

@@ -192,9 +192,8 @@ def test_wigner_tables_match_per_state_calls(window):
         assert_same_bits(joint, [wg.wigner_joint(rho, alpha, beta, window)
                                  for rho in stack])
     # 10 points: ragged Im beta blocks on the fine grid, 8 on the coarse one.
-    grid = wg.PhaseSpaceGrid(wg.default_extent(window), 10)
-    fine, coarse = wg.volume_pair(stack, grid, window)
-    pairs = [wg.volume_pair(rho, grid, window) for rho in stack]
+    fine, coarse = wg.volume_pair(stack, 10, window)
+    pairs = [wg.volume_pair(rho, 10, window) for rho in stack]
     assert all(isinstance(v, float) for pair in pairs for v in pair)
     assert_same_bits(fine, [f for f, _ in pairs])
     assert_same_bits(coarse, [c for _, c in pairs])
@@ -219,9 +218,8 @@ def test_volume_stack_mixing_x_and_general_states_matches_per_state_calls():
     assert outside.sum() == 4
     assert corners[~outside].tolist() == [[True, False]] * 3 + [[False, True]] * 3 + [
         [False, False]]
-    grid = wg.PhaseSpaceGrid(wg.default_extent(window), 12)
-    fine, coarse = wg.volume_pair(stack, grid, window)
-    pairs = [wg.volume_pair(rho, grid, window) for rho in stack]
+    fine, coarse = wg.volume_pair(stack, 12, window)
+    pairs = [wg.volume_pair(rho, 12, window) for rho in stack]
     assert_same_bits(fine, [f for f, _ in pairs])
     assert_same_bits(coarse, [c for _, c in pairs])
 

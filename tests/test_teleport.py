@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from twocav import dynamics, states, teleport as tp
+from twocav.correlations import _PAULI as PAULI
 from twocav.errors import DomainError, PatternError
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -231,8 +232,8 @@ def _teleport_reference(channel, inp, index_order):
     out = np.zeros((4, 4), dtype=complex)
     for a in range(4):
         for b in range(4):
-            left = np.kron(tp._PAULI[a], tp._PAULI[b])
-            right = (np.kron(tp._PAULI[b], tp._PAULI[a])
+            left = np.kron(PAULI[a], PAULI[b])
+            right = (np.kron(PAULI[b], PAULI[a])
                      if index_order == tp.PRINTED else left)
             out += probs[a, b] * (left @ inp.matrix @ right)
     return out, float(np.real(np.trace(inp.matrix @ out)))

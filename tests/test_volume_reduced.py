@@ -179,14 +179,14 @@ def test_routing_decides_from_exact_zeros():
 def test_non_x_states_keep_the_streamed_path_bit_for_bit():
     rng = np.random.default_rng(23)
     window = FockWindow(1, 0)
-    grid = wg.PhaseSpaceGrid(wg.default_extent(window), 12)
+    extent = wg.default_extent(window)
     both = _x_state(rng, "epr")
     both[1, 2], both[2, 1] = 0.05, 0.05
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     for rho in (both, g @ g.conj().T / np.trace(g @ g.conj().T).real):
-        fine, coarse = wg.volume_pair(rho, grid, window)
-        assert fine == wg._streamed_volumes(rho[None], grid.extent, window, 12)[0]
-        assert coarse == wg._streamed_volumes(rho[None], grid.extent, window, 8)[0]
+        fine, coarse = wg.volume_pair(rho, 12, window)
+        assert fine == wg._streamed_volumes(rho[None], extent, window, 12)[0]
+        assert coarse == wg._streamed_volumes(rho[None], extent, window, 8)[0]
 
 
 def test_non_hermitian_x_state_raises_on_the_streamed_path():
@@ -194,7 +194,7 @@ def test_non_hermitian_x_state_raises_on_the_streamed_path():
     rho[3, 0] = 0.2  # rho41 != conj(rho14): W has an imaginary part
     assert not wg._reduced(rho[None], FockWindow())[0]
     with pytest.raises(ConsistencyError):
-        wg.volume_pair(rho, wg.PhaseSpaceGrid(6.0, 10))
+        wg.volume_pair(rho, 10)
 
 
 # --- accuracy ------------------------------------------------------------
@@ -209,7 +209,7 @@ def test_reduced_volume_agrees_with_the_trapezoid_rule(kind, window):
     rho = (np.diag(rng.dirichlet(np.ones(4))).astype(complex) if kind == "diag"
            else _x_state(rng, kind))
     extent = wg.default_extent(window)
-    reduced, _ = wg.volume_pair(rho, wg.PhaseSpaceGrid(extent, 32), window)
+    reduced, _ = wg.volume_pair(rho, 32, window)
     fine, coarse = (wg._streamed_volumes(rho[None], extent, window, n)[0] for n in (48, 24))
     assert abs(reduced - fine) <= abs(fine - coarse)
 
@@ -226,9 +226,8 @@ def test_fig5_volumes_converge_in_the_radial_nodes():
     # nodes to 1e-9; the fig5b value at t = 0.68 reads 0.24112777 (a
     # 3200-node uniform radial rule gives 0.241127774).
     for name, scn, stack in _fig5_panels():
-        n = scn.grid.points_per_axis
-        fine, _ = wg.volume_pair(stack, scn.grid, scn.window)
-        twice, _ = wg.volume_pair(stack, wg.PhaseSpaceGrid(scn.grid.extent, 2 * n), scn.window)
+        fine, _ = wg.volume_pair(stack, scn.points, scn.window)
+        twice, _ = wg.volume_pair(stack, 2 * scn.points, scn.window)
         assert np.max(np.abs(fine - twice)) <= 1e-9, name
         if name == "fig5b_volume":
             assert 0.24112777 <= fine[-1] < 0.24112778
@@ -268,7 +267,7 @@ def test_reduced_volume_bits_do_not_depend_on_the_block_rows(monkeypatch):
     # Budgets of more than a chunk (one block per chunk), of one row and of
     # three rows of the widest chunk (3 does not divide _CHUNK); windows
     # with more than one chunk of outer nodes cover the chunk boundaries.
-    cases = [(rho, scn.grid.extent, scn.window, scn.grid.points_per_axis)
+    cases = [(rho, wg.default_extent(scn.window), scn.window, scn.points)
              for _, scn, stack in _fig5_panels() for rho in stack]
     cases += list(_random_x_states())
     several = 0
@@ -289,12 +288,11 @@ def test_reduced_volume_peak_allocation():
     # The inner blocks hold about _ELEMENTS nodes (some ten arrays of them
     # at 8 bytes each); a whole 128-row chunk at once peaked at 7.4 MB.
     scn = cli._scn(**cli.FIGURES["fig5"][1][0])
-    assert (scn.window, scn.grid.points_per_axis) == (FockWindow(0, 2), 64)
-    assert scn.grid.extent == wg.default_extent(scn.window)
-    wg.volume_pair(scn.rho0, scn.grid, scn.window)  # fills the rule cache
+    assert (scn.window, scn.points) == (FockWindow(0, 2), 64)
+    wg.volume_pair(scn.rho0, scn.points, scn.window)  # fills the rule cache
     tracemalloc.start()
     try:
-        wg.volume_pair(scn.rho0, scn.grid, scn.window)
+        wg.volume_pair(scn.rho0, scn.points, scn.window)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -312,9 +310,8 @@ def test_reduced_volume_converges_next_to_an_escape_radius():
     window = FockWindow(1, 3)
     rho = np.diag([0.1824054125781749, 0.254710915234715, 0.2819291847511629,
                    0.28095448743594725]).astype(complex)
-    extent = wg.default_extent(window)
-    fine, _ = wg.volume_pair(rho, wg.PhaseSpaceGrid(extent, 32), window)
-    reference = wg._XState(rho, extent, window).volume(128)
+    fine, _ = wg.volume_pair(rho, 32, window)
+    reference = wg._XState(rho, wg.default_extent(window), window).volume(128)
     assert abs(fine - reference) <= 1e-9
 
 
@@ -324,11 +321,12 @@ def test_reduced_path_resolves_the_noon_gate_case(tmp_path):
     scn = scenario.parse_scenario(
         "schema = 1\nstate = noon\nmodel = markovian\nt_max = 0\nsteps = 2\n"
         "points = 16\n")
-    fine, coarse = wg.volume_pair(scn.rho0, scn.grid, scn.window)
+    fine, coarse = wg.volume_pair(scn.rho0, scn.points, scn.window)
     assert abs(fine - coarse) <= cli.VOLUME_GATE
-    ref, _ = wg.volume_pair(scn.rho0, wg.PhaseSpaceGrid(scn.grid.extent, 64), scn.window)
+    ref, _ = wg.volume_pair(scn.rho0, 64, scn.window)
     assert abs(fine - ref) <= 1e-6
-    streamed = [wg._streamed_volumes(scn.rho0[None], scn.grid.extent, scn.window, n)[0]
+    extent = wg.default_extent(scn.window)
+    streamed = [wg._streamed_volumes(scn.rho0[None], extent, scn.window, n)[0]
                 for n in (16, 8)]
     assert abs(streamed[0] - streamed[1]) > cli.VOLUME_GATE
     paths = cli.run_scenario(scn, [("volume", "volume")], str(tmp_path))
@@ -343,7 +341,7 @@ def test_cli_import_loads_no_numpy_polynomial():
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     code = ("import sys, twocav.cli as c\n"
             "from twocav import states, wigner\n"
-            "wigner.volume_pair(states.build_epr(0.6, 0.8), wigner.PhaseSpaceGrid(6.0, 10))\n"
+            "wigner.volume_pair(states.build_epr(0.6, 0.8), 10)\n"
             "print(any(m.startswith('numpy.polynomial') for m in sys.modules))\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from twocav import cli, errata, scenario, states, wigner as wg
+from twocav import cli, dynamics, errata, scenario, states, wigner as wg
 from twocav.errors import ConsistencyError, DomainError, QuadratureConvergenceError
 from twocav.states import FockWindow
 
@@ -14,14 +14,10 @@ FOCK_01 = np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)
 
 
 def test_grid_validation():
-    with pytest.raises(DomainError):
-        wg.PhaseSpaceGrid(extent=-1.0)
-    with pytest.raises(DomainError):
-        wg.PhaseSpaceGrid(points_per_axis=6)
-    with pytest.raises(DomainError):
-        wg.PhaseSpaceGrid(points_per_axis=9)
-    with pytest.raises(DomainError):
-        wg.PhaseSpaceGrid(extent=float("nan"))
+    for points in (6, 9):
+        for call in (wg.volume_pair, wg.wigner_field):
+            with pytest.raises(DomainError):
+                call(VACUUM, points)
 
 
 def test_laguerre_values():
@@ -98,7 +94,8 @@ def test_parity_table_matches_oracle_elements():
                          ids=lambda w: "n1=%d,m1=%d" % (w.n1, w.m1))
 def test_closed_form_tables_match_parity_table(window):
     # Full default-extent 64-point grid, corners at |alpha| up to ~10.2.
-    ax = wg.PhaseSpaceGrid(wg.default_extent(window), 64).axis()
+    extent = wg.default_extent(window)
+    ax = np.linspace(-extent, extent, 64)
     re, im = np.meshgrid(ax, ax, indexing="ij")
     pts = (re + 1j * im).ravel()
     amax = float(np.max(np.abs(pts)))
@@ -114,9 +111,8 @@ def test_wigner_joint_matches_field_at_grid_points():
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
     window = FockWindow(1, 2)
-    grid = wg.PhaseSpaceGrid(extent=3.0, points_per_axis=8)
-    field = wg.wigner_field(rho, grid, window)
-    ax = grid.axis()
+    field = wg.wigner_field(rho, 8, window)
+    ax = np.linspace(-field.extent, field.extent, 8)
     for i, j, k, l in ((0, 0, 0, 0), (1, 6, 3, 2), (4, 3, 7, 5), (7, 7, 0, 4)):
         joint = wg.wigner_joint(rho, ax[i] + 1j * ax[j], ax[k] + 1j * ax[l],
                                 window)
@@ -150,39 +146,37 @@ def test_vacuum_wigner_is_gaussian():
 
 
 def test_field_normalization_vacuum():
-    grid = wg.PhaseSpaceGrid(extent=5.0, points_per_axis=48)
-    field = wg.wigner_field(VACUUM, grid, W0)
+    field = wg.wigner_field(VACUUM, 48, W0)
     assert wg.integrate_field(field) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_field_normalization_entangled_state():
     rho = states.build_epr(2**-0.5, 2**-0.5)
-    grid = wg.PhaseSpaceGrid(extent=5.0, points_per_axis=48)
-    field = wg.wigner_field(rho, grid, W0)
+    field = wg.wigner_field(rho, 48, W0)
     assert wg.integrate_field(field) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_volume_vacuum_zero():
-    fine, coarse = wg.volume_pair(VACUUM, wg.PhaseSpaceGrid(6.0, 32), W0)
+    fine, coarse = wg.volume_pair(VACUUM, 32, W0)
     assert abs(fine) < 1e-3
     assert abs(fine - coarse) <= 1e-2
 
 
 def test_volume_fock_state_positive():
-    fine, coarse = wg.volume_pair(FOCK_01, wg.PhaseSpaceGrid(5.0, 48), W0)
+    fine, coarse = wg.volume_pair(FOCK_01, 48, W0)
     assert fine > 0.01
     assert abs(fine - coarse) <= 5e-2
 
 
 def test_imaginary_residue_raises():
     # A non-Hermitian rho (rho_12 = 0.3, rho_21 = 0) gives W an imaginary
-    # part: about 0.053 at this point and 0.022 on the volume grid.
+    # part: about 0.053 at this point and 0.0046 on the volume grid.
     rho = np.eye(4, dtype=complex) / 4
     rho[0, 1] = 0.3
     with pytest.raises(ConsistencyError):
         wg.wigner_joint(rho, 0.3 + 0.1j, -0.2 + 0.4j)
     with pytest.raises(ConsistencyError):
-        wg.volume_pair(rho, wg.PhaseSpaceGrid(4.0, 10))
+        wg.volume_pair(rho, 10)
 
 
 def test_volume_convergence_error_carries_both_values(tmp_path):
@@ -206,8 +200,7 @@ def test_field_is_real_everywhere():
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
-    grid = wg.PhaseSpaceGrid(extent=4.0, points_per_axis=8)
-    field = wg.wigner_field(rho, grid, W0)
+    field = wg.wigner_field(rho, 8, W0)
     assert np.all(np.isfinite(field.values))
 
 
@@ -218,11 +211,10 @@ def _random_state(seed):
     return rho / np.trace(rho).real
 
 
-def _unstreamed_volume(rho, n_pts, extent, window):
+def _unstreamed_volume(rho, n_pts, window):
     # Whole field, then |W|, then the 4-axis quadrature.
-    grid = wg.PhaseSpaceGrid(extent=extent, points_per_axis=n_pts)
-    field = wg.wigner_field(rho, grid, window)
-    abs_field = wg.WignerField(grid=grid, values=np.abs(field.values))
+    field = wg.wigner_field(rho, n_pts, window)
+    abs_field = wg.WignerField(extent=field.extent, values=np.abs(field.values))
     return 0.5 * (wg.integrate_field(abs_field) - 1.0)
 
 
@@ -233,25 +225,41 @@ def _unstreamed_volume(rho, n_pts, extent, window):
 def test_streamed_volume_equals_unstreamed_exactly(window, points):
     # Streaming over Im beta blocks must keep the summation order bit for
     # bit; ragged last blocks (10, 14, 22 points) included.
-    extent = wg.default_extent(window)
-    grid = wg.PhaseSpaceGrid(extent=extent, points_per_axis=points)
     half = points // 2 + (points // 2) % 2
     for seed in range(3 if points < 64 else 1):
         rho = _random_state(1000 * points + 10 * window.n1 + window.m1 + seed)
-        fine, coarse = wg.volume_pair(rho, grid, window)
-        assert fine == _unstreamed_volume(rho, points, extent, window)
-        assert coarse == _unstreamed_volume(rho, max(8, half), extent, window)
+        fine, coarse = wg.volume_pair(rho, points, window)
+        assert fine == _unstreamed_volume(rho, points, window)
+        assert coarse == _unstreamed_volume(rho, max(8, half), window)
 
 
 def test_streamed_volume_peak_allocation():
     # The unstreamed 64-point field alone is 268 MB; that path peaks near 400 MB.
     window = FockWindow(0, 2)
-    grid = wg.PhaseSpaceGrid(wg.default_extent(window), 64)
     rho = _random_state(7)
     tracemalloc.start()
     try:
-        wg.volume_pair(rho, grid, window)
+        wg.volume_pair(rho, 64, window)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 80e6
+
+
+def test_streamed_volume_peak_does_not_grow_with_the_stack():
+    # Each state's mode-A factor is formed in turn: 64 evolved coherent
+    # states (the streamed path) peak as one does, not 2.6 times as high.
+    scn = scenario.parse_scenario(
+        "schema = 1\nstate = coherent\nnbar_prime = 1.0\nmodel = markovian\n"
+        "m1 = 1\nt_max = 1\nsteps = 64\n")
+    stack = dynamics.evolve(scn.rho0, scn.evolution, scn.model, scn.times).states
+    assert states.x_corners(stack)[0].all()
+    peaks = []
+    for states_in in (stack[:1], stack):
+        tracemalloc.start()
+        try:
+            wg.volume_pair(states_in, 32, scn.window)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
