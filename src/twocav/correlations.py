@@ -207,13 +207,6 @@ def _conditional_entropy(c, theta, phi):
     return (e[0] + e[1] + e[2] + e[3]).ravel()
 
 
-def _conditional_entropy_grid(rho, thetas, phis):
-    """`_conditional_entropy` of rho on the (thetas x phis) grid, raveled
-    with theta the slow index."""
-    return _conditional_entropy(_bloch_coefficients(rho),
-                                np.asarray(thetas)[:, None], np.asarray(phis)[None, :])
-
-
 BRUTEFORCE_GRID = 64  # points per Bloch angle in the seeding scan
 _STENCIL = np.arange(-2.0, 3.0)  # offsets of the 5 x 5 refinement stencil
 # Cap on refinement steps.  A search takes 33 halvings plus its moves: 33-94

@@ -3,11 +3,12 @@
 Each function here reproduces a source formula exactly as printed so that
 tests can show where it disagrees with an independent oracle (the ODE
 integrator, the exponentiated displacement operator, a symmetry of the
-exact propagator, or the corrected discord branch).  Where a corrected
-form exists it is the production one: the populations come from
-`dynamics.evolve_analytic_vacuum`, the rho13 coherence from the generator
-behind `dynamics.evolve`, the displaced-parity element is
-`wigner.displaced_parity`, and the discord is `correlations.discord_x`.  Nothing in this module is used by the
+exact propagator, or the corrected discord branch).  The corrected forms
+are the production ones, and this module does not wrap them: the
+populations are the diagonal of `dynamics.evolve_analytic_vacuum`, the
+rho13 coherence comes from the generator behind `dynamics.evolve`, the
+displaced-parity element is `wigner.displaced_parity`, and the discord is
+`correlations.discord_x`.  Nothing in this module is used by the
 production paths.
 """
 
@@ -15,9 +16,7 @@ import math
 
 import numpy as np
 
-from . import dynamics
 from .errors import DomainError
-from .states import FockWindow
 from .wigner import laguerre_assoc
 
 
@@ -54,12 +53,6 @@ def printed_populations(rho0, theta_t, m1):
     r33 = (m * r0[3, 3].real + r0[2, 2].real) * e_mid
     r44 = 1.0 - r11 - r22 - r33
     return r11, r22, r33, r44
-
-
-def corrected_populations(rho0, theta_t, m1):
-    """Repaired populations: the diagonal of the vacuum closed form."""
-    rho = dynamics.evolve_analytic_vacuum(rho0, theta_t, FockWindow(m1, m1))
-    return tuple(np.real(np.diagonal(rho)))
 
 
 def discord_second_branch_printed(rho):

@@ -154,6 +154,14 @@ def parse_scenario(text):
     points = values.get("points", 32)
     if not 10 <= points <= 128 or points % 2:
         raise ScenarioError("points must be even and between 10 and 128")
+    # The Wigner code runs factorials and Laguerre loops as long as a window
+    # index, and from about nbar = 1e20 the state turns non-finite; both
+    # bounds are far above every figure, workload and test value.
+    for key in ("n1", "m1"):
+        if values.get(key, 0) > 1000:
+            raise ScenarioError("%s must not exceed 1000" % key)
+    if values.get("nbar", 0.0) > 1e6:
+        raise ScenarioError("nbar must not exceed 1e6")
 
     try:
         window = states.FockWindow(n1=values.get("n1", 0), m1=values.get("m1", 0))

@@ -37,14 +37,6 @@ class FockWindow:
         return [(n1, m1), (n1, m1 + 1), (n1 + 1, m1), (n1 + 1, m1 + 1)]
 
 
-@dataclass(frozen=True)
-class StateValidationReport:
-    hermiticity_defect: float
-    min_eigenvalue: float
-    trace: float
-    is_physical: bool
-
-
 def _normalize(raw):
     """The (4,) complex vector raw / |raw|."""
     norm = math.sqrt(sum(abs(z) ** 2 for z in raw))
@@ -60,8 +52,8 @@ def coherent_amplitudes_paper(nbar_prime, window=FockWindow()):
     (1/sqrt(2)) * exp(-n') * sqrt(n'**e / e!) where the exponent e is the
     printed index product (0**0 := 1), renormalized to a (4,) complex
     vector.  This variant disagrees with projection_amplitudes away from
-    n' = 1 -- compare with amplitude_disagreement before trusting it on
-    shifted windows.  Raises DomainError where an amplitude overflows double
+    n' = 1, so check it against that one before trusting it on shifted
+    windows.  Raises DomainError where an amplitude overflows double
     precision.
     """
     if nbar_prime < 0:
@@ -116,16 +108,6 @@ def projection_amplitudes(nbar_prime, window=FockWindow()):
     return _normalize(raw)
 
 
-def amplitude_disagreement(nbar_prime, window=FockWindow()):
-    """Max |difference| between the two amplitude variants after phase fix."""
-    u = coherent_amplitudes_paper(nbar_prime, window)
-    v = projection_amplitudes(nbar_prime, window)
-    phase = np.vdot(v, u)
-    if phase != 0:
-        u = u * (abs(phase) / phase)
-    return float(np.max(np.abs(u - v)))
-
-
 def pure_state(amplitudes):
     """Rank-1 density matrix of a window superposition."""
     psi = np.asarray(amplitudes, dtype=complex)
@@ -167,18 +149,3 @@ def x_corners(rho):
     nonzero = nonzero | nonzero.swapaxes(-1, -2)  # an entry or its transpose
     return (nonzero[..., _OUTSIDE_X[0], _OUTSIDE_X[1]].any(axis=-1),
             np.stack([nonzero[..., i, j] for i, j in X_CORNERS], axis=-1))
-
-
-def validate(rho, tol=1e-10):
-    """Diagnostic report on Hermiticity, positivity and trace of a state."""
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
-    rho = np.asarray(rho, dtype=complex)
-    defect = float(np.max(np.abs(rho - rho.conj().T)))
-    herm = 0.5 * (rho + rho.conj().T)
-    eigs = np.linalg.eigvalsh(herm)
-    min_eig = float(eigs[0])
-    trace = float(np.real(np.trace(rho)))
-    physical = defect <= tol and min_eig >= -tol and abs(trace - 1.0) <= tol
-    return StateValidationReport(defect, min_eig, trace, physical)
-

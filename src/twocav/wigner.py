@@ -183,10 +183,13 @@ def parity_table(alphas, window_index, cutoff):
 
 
 def _k_tables(points, index):
-    """Tables K[g, p, q] of shape (G, 2, 2) for rows {index, index + 1}."""
+    """Tables K[g, p, q] of shape (G, 2, 2) for rows {index, index + 1}.
+    K[index + 1, index] is the conjugate of K[index, index + 1], as
+    `displaced_parity` returns it, so three Laguerre elements are built."""
     pts = np.asarray(points, dtype=complex)
-    rows = (index, index + 1)
-    return np.stack([displaced_parity(p, q, pts) for p in rows for q in rows],
+    upper = displaced_parity(index, index + 1, pts)
+    return np.stack([displaced_parity(index, index, pts), upper, np.conj(upper),
+                     displaced_parity(index + 1, index + 1, pts)],
                     axis=-1).reshape(-1, 2, 2)
 
 

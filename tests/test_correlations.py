@@ -103,8 +103,15 @@ def test_discord_x_matches_bruteforce():
         )
 
 
-def _einsum_conditional_entropy_grid(rho, thetas, phis):
-    """Oracle for `co._conditional_entropy_grid`: project B onto the complex
+def _objective_grid(rho, thetas, phis):
+    """`co._conditional_entropy` of rho on the (thetas x phis) grid, raveled
+    with theta the slow index."""
+    return co._conditional_entropy(co._bloch_coefficients(rho),
+                                   np.asarray(thetas)[:, None], np.asarray(phis)[None, :])
+
+
+def _einsum_conditional_entropy(rho, thetas, phis):
+    """Oracle for `co._conditional_entropy`: project B onto the complex
     measurement vectors, take each 2x2 block of A from an einsum, and sum
     -lam log2(lam / p) over the closed-form eigenvalues of the blocks."""
     r4 = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
@@ -180,8 +187,8 @@ def test_bloch_objective_matches_the_einsum_oracle(rho, theta, phi):
     # over four eigenvalues that is below 4e-13, so 1e-12 (see CHANGES.md).
     thetas = np.array([0.0, theta, math.pi])
     phis = np.array([phi])
-    got = co._conditional_entropy_grid(rho, thetas, phis)
-    want = _einsum_conditional_entropy_grid(rho, thetas, phis)
+    got = _objective_grid(rho, thetas, phis)
+    want = _einsum_conditional_entropy(rho, thetas, phis)
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -207,8 +214,8 @@ def _discord_by_theta_search(rho):
     thetas = np.linspace(0.0, math.pi, 4001)
     for phi in (0.0, math.pi / 2.0):
         def s_cond(theta):
-            return _einsum_conditional_entropy_grid(rho, [theta], [phi])[0]
-        k = int(np.argmin(_einsum_conditional_entropy_grid(rho, thetas, [phi])))
+            return _einsum_conditional_entropy(rho, [theta], [phi])[0]
+        k = int(np.argmin(_einsum_conditional_entropy(rho, thetas, [phi])))
         res = optimize.minimize_scalar(
             s_cond, bounds=(thetas[max(k - 1, 0)], thetas[min(k + 1, 4000)]),
             method="bounded", options={"xatol": 1e-12})
@@ -241,9 +248,9 @@ def test_refinement_objective_reproduces_the_scan_bit_for_bit():
     pure = states.build_epr(0.6, 0.8)
     product = np.kron(np.diag([0.7, 0.3]), np.diag([0.4, 0.6])).astype(complex)
     for rho in (random_state(rng), random_state(rng), pure, product):
-        scan = co._conditional_entropy_grid(rho, thetas, phis).reshape(n, n)
+        scan = _objective_grid(rho, thetas, phis).reshape(n, n)
         for i, j in ((0, 0), (n - 1, n - 1), (17, 40), (40, 17), (n // 2, 0)):
-            point = co._conditional_entropy_grid(rho, thetas[[i]], phis[[j]])
+            point = _objective_grid(rho, thetas[[i]], phis[[j]])
             assert point.tobytes() == scan[i, j:j + 1].tobytes()
 
 
@@ -310,7 +317,7 @@ def test_bruteforce_matches_the_sequential_search_bit_for_bit(rho):
     n = co.BRUTEFORCE_GRID
     thetas = np.linspace(0.0, math.pi, n)
     phis = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    scan = co._conditional_entropy_grid(rho, thetas, phis)
+    scan = _objective_grid(rho, thetas, phis)
     c = co._bloch_coefficients(rho)
     oracle = _stacked_conditional_entropy(c, thetas[:, None], phis[None, :])
     assert scan.tobytes() == oracle.tobytes()

@@ -81,6 +81,21 @@ def test_digest_diff_reports_the_one_changed_field(tmp_path, capsys):
     assert capsys.readouterr().out.count("byte-identical") == 2
 
 
+def test_digest_diff_reports_header_row_count_and_comment_changes(tmp_path):
+    rows = [[0.0, 0.25], [0.5, 0.125]]
+    base = str(tmp_path / "base.csv")
+    cli.write_csv(base, "state = epr", ["t", "x"], rows)
+    for name, comment, header, body in (
+            ("header", "state = epr", ["t", "y"], rows),
+            ("rows", "state = epr", ["t", "x"], rows[:1]),
+            ("comment", "state = noon", ["t", "x"], rows)):
+        path = str(tmp_path / (name + ".csv"))
+        cli.write_csv(path, comment, header, body)
+        want = (["0 of 2 rows changed", "comment line differs"] if name == "comment"
+                else ["header or row count differs"])
+        assert digest.diff_csv(base, path) == want, name
+
+
 def test_digest_main_writes_the_digest_file(tmp_path, monkeypatch, capsys):
     # The regeneration branch: one space of indent, sorted keys and a final
     # newline, so a regenerated digest diffs line by line.

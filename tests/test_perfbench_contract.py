@@ -8,9 +8,11 @@ are loaded from the checkout, not modified.
 import importlib
 import importlib.util
 import os
+import re
 
 import pytest
 
+import twocav
 from twocav import cli, scenario
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -47,3 +49,24 @@ def test_scenario_accessors_the_benchmark_reads():
     scn = cli._scn(**cli.FIGURES["fig2"][0][0])
     assert scn.params() is scn.evolution
     assert scn.initial_state() is scn.rho0
+
+
+def test_package_names_the_oracles_read_resolve():
+    # perfbench/oracles.py reaches the package as `tc` and binds
+    # co = tc.correlations and tp = tc.teleport; `scn` is a parsed scenario
+    # and `window` its FockWindow.  Every attribute it reads must exist.
+    with open(os.path.join(PERFBENCH, "oracles.py")) as fh:
+        text = fh.read()
+    assert "co = tc.correlations" in text and "tp = tc.teleport" in text
+    scn = cli._scn(**cli.FIGURES["fig2"][0][0])
+    owners = {"co": twocav.correlations, "tp": twocav.teleport, "scn": scn,
+              "window": scn.window}
+    read = {(owner, name) for owner, name in
+            re.findall(r"\b(co|tp|scn|window)\.([A-Za-z_]\w*)", text)}
+    for module, name in re.findall(r"\btc\.([a-z_]+)\.([A-Za-z_]\w*)", text):
+        importlib.import_module("twocav." + module)
+        owners["tc." + module] = getattr(twocav, module)
+        read.add(("tc." + module, name))
+    assert {owner for owner, _ in read} >= {"co", "tp", "scn", "window", "tc.cli"}
+    for owner, name in sorted(read):
+        assert hasattr(owners[owner], name), (owner, name)

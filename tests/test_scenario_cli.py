@@ -234,16 +234,22 @@ def test_cli_volume_eight_points_exit_2(tmp_path):
 
 
 def test_cli_huge_steps_and_points_exit_2(tmp_path):
-    # Both upper bounds hold at parse, before the time grid or a phase-space
-    # table is allocated; the bounds themselves parse.
+    # Every upper bound holds at parse, before the time grid or a phase-space
+    # table is allocated, the Wigner code's factorials run in a window index,
+    # or a huge nbar turns the state non-finite; the bounds themselves parse.
     for text in (BASE.replace("steps = 10", "steps = %d" % 10**15),
                  BASE.replace("steps = 10", "steps = 10001"),
-                 BASE + "points = 130\n", BASE + "points = %d\n" % 10**12):
+                 BASE + "points = 130\n", BASE + "points = %d\n" % 10**12,
+                 BASE.replace("m1 = 0", "n1 = 1001\nm1 = 0"),
+                 BASE.replace("m1 = 0", "m1 = 1001"), BASE + "nbar = 1e200\n"):
         path = _write(tmp_path, text)
         assert cli.main(["volume", "--scenario", path, "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "volume.csv").exists()
-    scn = sc.parse_scenario(BASE.replace("steps = 10", "steps = 10000") + "points = 128\n")
+    scn = sc.parse_scenario(BASE.replace("steps = 10", "steps = 10000")
+                            .replace("m1 = 0", "n1 = 1000\nm1 = 1000")
+                            + "points = 128\nnbar = 1e6\n")
     assert (len(scn.times), scn.points) == (10000, 128)
+    assert (scn.window, scn.evolution.nbar) == (states.FockWindow(1000, 1000), 1e6)
 
 
 def test_cli_paper_elements_rejected(tmp_path):

@@ -40,7 +40,12 @@ def test_coherent_amplitudes_normalized():
 
 
 def test_coherent_amplitudes_agree_with_projection_at_unit_occupation():
-    assert states.amplitude_disagreement(1.0, FockWindow(0, 0)) < 1e-12
+    u = states.coherent_amplitudes_paper(1.0, FockWindow(0, 0))
+    v = states.projection_amplitudes(1.0, FockWindow(0, 0))
+    phase = np.vdot(v, u)  # fix the global phase before comparing
+    if phase != 0:
+        u = u * (abs(phase) / phase)
+    assert np.max(np.abs(u - v)) < 1e-12
 
 
 def test_projection_amplitudes_unit_occupation():
@@ -110,20 +115,11 @@ def test_builders_reject_unnormalized_inputs():
 
 def test_builder_outputs_are_valid_pure_states():
     for rho in (states.build_epr(0.6, 0.8), states.build_noon(0.28, 0.96)):
-        rep = states.validate(rho, tol=1e-10)
-        assert rep.is_physical
+        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-10  # Hermitian
+        assert abs(np.real(np.trace(rho)) - 1.0) <= 1e-10  # unit trace
         eigs = np.linalg.eigvalsh(rho)
+        assert eigs[0] >= -1e-10  # positive
         assert eigs[-1] == pytest.approx(1.0, abs=1e-12)  # rank 1
-
-
-def test_validate_reports():
-    rep = states.validate(np.eye(4) / 4.0)
-    assert rep.is_physical and rep.min_eigenvalue == pytest.approx(0.25)
-    bad = np.eye(4, dtype=complex) / 4.0
-    bad[0, 1] = 0.3
-    assert states.validate(bad).hermiticity_defect > 0.0
-    with pytest.raises(DomainError):
-        states.validate(np.eye(4) / 4.0, tol=0.0)
 
 
 # --- X structure from exact zeros -----------------------------------------

@@ -103,6 +103,10 @@ def test_closed_form_tables_match_parity_table(window):
         table = wg._k_tables(pts, index)
         oracle = wg.parity_table(pts, index, wg.suggested_cutoff(index + 1, amax))
         assert np.max(np.abs(table - oracle)) <= 1e-10
+        # The table is displaced_parity element by element, bit for bit.
+        rows = (index, index + 1)
+        each = [wg.displaced_parity(p, q, pts) for p in rows for q in rows]
+        assert table.tobytes() == np.stack(each, axis=-1).reshape(-1, 2, 2).tobytes()
 
 
 def test_wigner_joint_matches_field_at_grid_points():
