@@ -5,7 +5,8 @@ K[m, m'] = <m| D(alpha) P D(alpha)^dagger |m'> in the window's absolute
 Fock indices.  For each mode the elements of the two window rows form a
 (G, 2, 2) table over G phase-space points.  `_left` contracts the state
 with the mode-A table, and `_contract`, the one product with the mode-B
-table, gives W; a single point is the G = 1 case.
+table, gives W; a single point is the G = 1 case.  The volume forms only
+the parts of W that its angular closed forms need.
 
 `wigner_joint` and `volume_pair` take one (4, 4) state or a (T, 4, 4)
 stack; a stack gets arrays back, each value bit-identical to that of its
@@ -13,21 +14,19 @@ state on its own.
 
 `volume_pair` and `wigner_field` take an even number of points, at least
 8, and reach L = default_extent(window) along each quadrature axis, the
-one extent of the package.  `volume_pair` decides its path state by state,
-from exact zeros (`states.x_corners`, the one X-structure test of the
-package).  An exactly Hermitian state whose only coherence is rho14 (EPR
-type) or rho23 (NOON type) has W = f + g cos(phi_a +- phi_b - chi) in
-polar coordinates, so the two phase angles integrate in closed form and
-the two radii are integrated over the disk of radius L per mode with
-Gauss-Legendre panels that end on the kinks of |W| (see the X-state
-section below); `points` is then the number of nodes on each radial
-panel.  Every other state takes the trapezoid rule on the box [-L, L]^4
-with `points` points per axis.  That path never holds the full field: it
-takes |W| of one state one block of Im beta columns at a time and
-contracts each block over the other three axes with the same trapezoid
-sums as `integrate_field`, so it matches the unstreamed quadrature of
-`wigner_field` bit for bit.  On either path the coarse twin is the same
-rule at half the points.
+one extent of the package.  `volume_pair` integrates |W| over the disk of
+radius L per mode in polar coordinates alpha = ra e^{i phi_a}, beta =
+rb e^{i phi_b}, with `points` Gauss-Legendre nodes on every radial panel.
+At fixed alpha, W = f + |c| cos(phi_b - chi) for every window state, so
+phi_b integrates in closed form; phi_a takes the periodic trapezoid rule
+with `points` nodes.  An exactly Hermitian state whose only coherence is
+rho14 (EPR type) or rho23 (NOON type), decided from exact zeros
+(`states.x_corners`, the one X-structure test of the package), has
+W = f + g cos(phi_a +- phi_b - chi), so both phase angles integrate in
+closed form and the radial panels end on the kinks of |W| (see the
+X-state section below).  The coarse twin is the same rule at half the
+points.  `wigner_field` and `integrate_field`, the trapezoid rule on the
+box [-L, L]^4, stay as a test reference.
 
 The Laguerre closed form `displaced_parity` fills every table; the printed
 closed form it replaces is `errata.displaced_parity_printed`.
@@ -221,80 +220,32 @@ def wigner_joint(rho, alpha, beta, window=FockWindow()):
     return _value(w[..., 0, 0])
 
 
-def _grid_points(extent, points):
-    """Complex points of one mode's (Re, Im) grid on [-extent, extent], Re major."""
-    ax = np.linspace(-extent, extent, points)
-    return (ax[:, None] + 1j * ax[None, :]).ravel()
-
-
 def wigner_field(rho, points, window=FockWindow()):
     """Wigner function on the full 4-dimensional grid of `points` points per
     axis over [-L, L], L = default_extent(window).
 
     Holds the whole complex field, G^2 values for G points per mode; no
-    production path calls it.  It is the unstreamed reference for the
-    streamed quadrature in `volume_pair`.
+    production path calls it.  With `integrate_field` it is the box
+    trapezoid rule that tests hold the volume quadrature against.
     """
     _check_points(points)
     extent = default_extent(window)
-    pts = _grid_points(extent, points)
+    ax = np.linspace(-extent, extent, points)
+    pts = (ax[:, None] + 1j * ax[None, :]).ravel()  # (Re, Im) grid, Re major
     w = _contract(_left(rho, _k_tables(pts, window.n1)), _k_tables(pts, window.m1))
     return WignerField(extent=extent, values=w.reshape((points,) * 4))
 
 
-def _trapezoid_weights(extent, n):
-    h = 2.0 * extent / (n - 1)
-    w = np.full(n, h)
-    w[0] = w[-1] = 0.5 * h
-    return w
-
-
-def _trapezoid(values, w, axes):
-    """Contract the leading `axes` axes of values with the weights w."""
-    for _ in range(axes):
-        values = np.tensordot(values, w, axes=([0], [0]))
-    return values
-
-
 def integrate_field(field):
     """Tensor-product trapezoidal integral of the field over its grid."""
-    w = _trapezoid_weights(field.extent, len(field.values))
-    return float(_trapezoid(field.values, w, 4))
-
-
-# Im beta columns per streamed block.  Only some widths keep the BLAS
-# summation order of the unstreamed quadrature (4 and 8 match it bit for
-# bit; 1, 2, 3, 5 and 6 do not), and 4 holds the least memory: do not tune.
-_BLOCK = 4
-
-
-def _abs_integral(left, kb, w):
-    """Trapezoidal integral of |W| for one state's (G, 4) `_left` factor,
-    streamed over blocks of Im beta columns of the (n, n, 4) mode-B tables.
-
-    The block is formed and reduced in one expression, so it is freed before
-    the next one is formed.  The result equals `integrate_field` of
-    |`wigner_field`| exactly.
-    """
-    n = len(w)
-    partial = np.empty(n)
-    for s in range(0, n, _BLOCK):
-        cols = slice(s, s + _BLOCK)
-        partial[cols] = _trapezoid(
-            np.abs(_contract(left, kb[:, cols])).reshape(n, n, n, -1), w, 3)
-    return float(_trapezoid(partial, w, 1))
-
-
-def _streamed_volumes(stack, extent, window, n_pts):
-    """Trapezoidal volumes of a (T, 4, 4) stack on the n_pts-point box grid
-    over [-extent, extent]^4.  Each state's `_left` factor is formed in
-    turn, so the working set does not grow with T."""
-    pts = _grid_points(extent, n_pts)
-    ka = _k_tables(pts, window.n1)
-    kb = _k_tables(pts, window.m1).reshape(n_pts, n_pts, 4)
-    w = _trapezoid_weights(extent, n_pts)
-    v = [_abs_integral(_left(one, ka), kb, w) for one in stack]
-    return 0.5 * (np.array(v) - 1.0)
+    n = len(field.values)
+    h = 2.0 * field.extent / (n - 1)
+    w = np.full(n, h)
+    w[0] = w[-1] = 0.5 * h
+    values = field.values
+    for _ in range(4):
+        values = np.tensordot(values, w, axes=([0], [0]))
+    return float(values)
 
 
 # --- X states: the angular integral in closed form --------------------------
@@ -318,7 +269,7 @@ def _streamed_volumes(stack, extent, window, n_pts):
 
 # Highest Fock index the reduced path takes.  The companion-matrix roots
 # of L_n(4 r^2) and r L_n^1(4 r^2) are good to 1e-10 up to n = 16 and to
-# only 1e-8 at n = 20; higher windows keep the streamed path.
+# only 1e-8 at n = 20; higher windows take `_polar_volumes`.
 _REDUCED_MAX_INDEX = 16
 
 # A change in the real-root count between two outer nodes is placed by
@@ -498,11 +449,13 @@ def _merge_edges(fixed, kinks, hi):
 
 
 # Outer panels wider than this are cut (a kink end maps its panel's nodes
-# towards it, which thins them elsewhere); at most _MAX_CRITICAL outer edges
-# come from the roots; _CHUNK outer nodes share one set of inner edges, and
-# their inner nodes are evaluated in blocks of rows of about _ELEMENTS nodes
-# (at least one row), which bounds the working set.  A block's rows are
-# summed one by one over the chunk's width, so the block size moves no bit.
+# towards it, which thins them elsewhere), and so are the radial panels of
+# `_polar_volumes`; at most _MAX_CRITICAL outer edges come from the roots;
+# _CHUNK outer nodes share one set of inner edges, and their inner nodes
+# are evaluated in blocks of rows of about _ELEMENTS nodes (at least one
+# row), which bounds the working set.  A block's rows are summed one by one
+# with `np.sum`, so the block size moves no bit (and `_polar_volumes` calls
+# no BLAS routine that a thread count could reorder).
 _OUTER_WIDTH = 3.0
 _MAX_CRITICAL = 1024
 _CHUNK = 128
@@ -630,19 +583,60 @@ class _XState:
         return 0.5 * (2.0 * math.pi * total - 1.0)
 
 
+def _polar_volumes(stack, extent, window, q):
+    """Volumes of a (T, 4, 4) stack of any states on the disk of radius
+    `extent` per mode.  At alpha = ra e^{i phi_a} and beta = rb e^{i phi_b},
+    W = f + |c| cos(phi_b - chi) with f and c from the `_left` factor and
+    the real mode-B elements at rb, so phi_b integrates in closed form
+    (`_angular_abs`).  ra and rb take q Gauss-Legendre nodes on each radial
+    panel of width at most _OUTER_WIDTH, and phi_a the periodic trapezoid
+    rule with q nodes.  The K tables are built once, and each state's
+    `_left` factor is formed in turn.  If a table is not finite, every
+    volume is NaN, and so is the volume of a state whose factor is not."""
+    r, wr = _panel_nodes(*_split_wide(np.array([0.0, extent]), np.zeros(2, bool),
+                                      _OUTER_WIDTH), q)
+    wr = wr * r
+    ka = _k_tables((r[:, None] * np.exp(2j * math.pi * np.arange(q) / q)).ravel(),
+                   window.n1)  # ra major
+    kb = _k_tables(r, window.m1).real.reshape(-1, 4)
+    if not (np.isfinite(ka).all() and np.isfinite(kb).all()):
+        return np.full(len(stack), np.nan)
+    step = max(1, _ELEMENTS // len(r))
+    out = np.empty(len(stack))
+    for k, one in enumerate(stack):
+        left = _left(one, ka)
+        if not np.isfinite(left).all():  # `_angular_abs` reads a NaN g as 0
+            out[k] = np.nan
+            continue
+        residue = max(np.max(np.abs(left[:, [0, 3]].imag)),
+                      np.max(np.abs(left[:, 2] - np.conj(left[:, 1]))))
+        if residue > IMAG_TOL:
+            raise ConsistencyError("Wigner function has imaginary residue %g" % residue)
+        inner = np.empty(len(left))
+        for s in range(0, len(left), step):
+            rows = left[s:s + step, :, None]
+            f = rows[:, 0].real * kb[:, 0] + rows[:, 3].real * kb[:, 3]
+            inner[s:s + step] = np.sum(
+                wr * _angular_abs(f, 2.0 * np.abs(rows[:, 1]) * kb[:, 1]), axis=1)
+        total = np.sum(wr * np.mean(inner.reshape(len(r), q), axis=1))
+        out[k] = 0.5 * (2.0 * math.pi * total - 1.0)
+    return out
+
+
 def volume_pair(rho, points, window=FockWindow()):
     """Negativity volume V = (1/2)(integral of |W| - 1), unclamped, at two
     resolutions whose gap the CLI gates (`cli.VOLUME_GATE`).  A stack of
     states gets two arrays, each value that of its state on its own.
 
-    Both paths integrate out to L = default_extent(window) per quadrature
-    axis.  Exactly Hermitian X states (coherence only in rho14 or rho23)
-    take the reduced path: the phase angles in closed form and the two
-    radii over the disk of radius L per mode, with `points` Gauss-Legendre
-    nodes on every radial panel.  Every other state takes the trapezoid
-    rule on the box [-L, L]^4 with `points` points per axis.  The coarse
-    twin uses half the points (rounded up to even, at least 8) on the same
-    path, so only 10 or more points get a coarser twin.
+    |W| is integrated over the disk of radius L = default_extent(window)
+    per mode, with `points` Gauss-Legendre nodes on every radial panel.
+    Exactly Hermitian X states (coherence only in rho14 or rho23) on
+    windows up to _REDUCED_MAX_INDEX integrate both phase angles in closed
+    form on panels that end on the kinks of |W| (`_XState`); every other
+    state integrates phi_b in closed form and phi_a with `points` nodes
+    (`_polar_volumes`).  The coarse twin uses half the points (rounded up
+    to even, at least 8) in the same rule, so only 10 or more points get a
+    coarser twin.
     """
     _check_points(points)
     extent = default_extent(window)
@@ -656,6 +650,6 @@ def volume_pair(rho, points, window=FockWindow()):
         fine[k], coarse[k] = x.volume(orders[0]), x.volume(orders[1])
     general = np.flatnonzero(~reduced)
     if len(general):
-        for out, n_pts in zip((fine, coarse), orders):
-            out[general] = _streamed_volumes(stack[general], extent, window, n_pts)
+        for out, q in zip((fine, coarse), orders):
+            out[general] = _polar_volumes(stack[general], extent, window, q)
     return _value(fine.reshape(rho.shape[:-2])), _value(coarse.reshape(rho.shape[:-2]))

@@ -259,24 +259,27 @@ def test_cli_paper_elements_rejected(tmp_path):
 
 
 def test_cli_quadrature_exit_4(tmp_path):
-    # A coarse box grid on a state that takes the trapezoid path trips the
-    # convergence gate (EPR and NOON states take the reduced path, which
-    # resolves them at 16 points).
+    # 16 and 8 nodes of the polar rule on a coherent state on window (3, 3)
+    # trip the convergence gate (EPR and NOON states take the reduced path,
+    # which resolves them at 16 points).
     text = BASE.replace("state = epr", "state = coherent\nnbar_prime = 2.0")
-    text += "points = 16\n"
+    text = text.replace("m1 = 0", "n1 = 3\nm1 = 3") + "points = 16\n"
     path = _write(tmp_path, text)
     assert cli.main(["volume", "--scenario", path, "--out", str(tmp_path)]) == 4
 
 
-def test_cli_nan_volume_exit_4(tmp_path):
-    # The displaced-parity recurrence overflows this far up the Fock
-    # ladder, and a NaN volume must fail the gate, not reach the CSV.
-    text = BASE.replace("m1 = 0", "n1 = 200\nm1 = 0").replace("steps = 10", "steps = 2")
-    path = _write(tmp_path, text + "points = 10\n")
-    with np.errstate(invalid="ignore", over="ignore"):
-        code = cli.main(["volume", "--scenario", path, "--out", str(tmp_path)])
-    assert code == 4
-    assert not (tmp_path / "volume.csv").exists()
+def test_cli_nan_volume_exit_4(tmp_path, capsys):
+    # At n1 = 400 the displaced-parity recurrence overflows on the volume
+    # nodes, and a NaN volume must fail the gate, not reach the CSV; at
+    # n1 = 200 the tables stay finite and the gap fails it.
+    for n1, nan in ((200, False), (400, True)):
+        text = BASE.replace("m1 = 0", "n1 = %d\nm1 = 0" % n1).replace("steps = 10", "steps = 2")
+        path = _write(tmp_path, text + "points = 10\n")
+        with np.errstate(invalid="ignore", over="ignore"):
+            code = cli.main(["volume", "--scenario", path, "--out", str(tmp_path)])
+        assert code == 4
+        assert ("nan vs nan" in capsys.readouterr().err) == nan
+        assert not (tmp_path / "volume.csv").exists()
 
 
 @pytest.mark.parametrize("fine, first", [([0.1, 0.2, 0.9, 0.9, 0.2], 2),

@@ -191,7 +191,6 @@ def test_wigner_tables_match_per_state_calls(window):
         assert joint.shape == (len(stack),)
         assert_same_bits(joint, [wg.wigner_joint(rho, alpha, beta, window)
                                  for rho in stack])
-    # 10 points: ragged Im beta blocks on the fine grid, 8 on the coarse one.
     fine, coarse = wg.volume_pair(stack, 10, window)
     pairs = [wg.volume_pair(rho, 10, window) for rho in stack]
     assert all(isinstance(v, float) for pair in pairs for v in pair)
@@ -202,7 +201,7 @@ def test_wigner_tables_match_per_state_calls(window):
 def test_volume_stack_mixing_x_and_general_states_matches_per_state_calls():
     # Each state of a stack takes its own path: X states (evolved EPR and
     # NOON trajectories, a diagonal state) the reduced one, the others the
-    # streamed one, and every value keeps its bits.
+    # polar rule, and every value keeps its bits.
     window = FockWindow(0, 1)
     times = np.linspace(0.0, 0.6, 3)
     params = dynamics.EvolutionParams(window=window)

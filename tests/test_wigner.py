@@ -184,12 +184,12 @@ def test_imaginary_residue_raises():
 
 
 def test_volume_convergence_error_carries_both_values(tmp_path):
-    # The CLI volume table gates the fine/coarse gap; a coarse box grid on a
-    # state that takes the trapezoid path trips it (16 against 8 points
-    # differ by about 0.13 here).
+    # The CLI volume table gates the fine/coarse gap; 16 and 8 nodes of the
+    # polar rule on a coherent state on window (3, 3) trip it (1.51 against
+    # 2.17 here).
     scn = scenario.parse_scenario(
         "schema = 1\nstate = coherent\nnbar_prime = 2.0\nmodel = markovian\n"
-        "t_max = 0\nsteps = 2\npoints = 16\n")
+        "n1 = 3\nm1 = 3\nt_max = 0\nsteps = 2\npoints = 16\n")
     assert states.x_corners(scn.rho0)[0]
     with pytest.raises(QuadratureConvergenceError) as err:
         cli.run_scenario(scn, [("volume", "volume")], str(tmp_path))
@@ -215,30 +215,29 @@ def _random_state(seed):
     return rho / np.trace(rho).real
 
 
-def _unstreamed_volume(rho, n_pts, window):
-    # Whole field, then |W|, then the 4-axis quadrature.
-    field = wg.wigner_field(rho, n_pts, window)
-    abs_field = wg.WignerField(extent=field.extent, values=np.abs(field.values))
-    return 0.5 * (wg.integrate_field(abs_field) - 1.0)
+def _blocked_volume(monkeypatch, rho, points, window, budget):
+    # The polar rule's inner sums in row blocks of about `budget` nodes.
+    with monkeypatch.context() as m:
+        m.setattr(wg, "_ELEMENTS", budget)
+        return wg.volume_pair(rho, points, window)
 
 
 @pytest.mark.parametrize("points", [8, 10, 14, 16, 22, 32, 64])
 @pytest.mark.parametrize("window", [FockWindow(0, 0), FockWindow(0, 2),
                                     FockWindow(1, 1), FockWindow(2, 1)],
                          ids=lambda w: "n1=%d,m1=%d" % (w.n1, w.m1))
-def test_streamed_volume_equals_unstreamed_exactly(window, points):
-    # Streaming over Im beta blocks must keep the summation order bit for
-    # bit; ragged last blocks (10, 14, 22 points) included.
-    half = points // 2 + (points // 2) % 2
+def test_streamed_volume_equals_unstreamed_exactly(window, points, monkeypatch):
+    # Streaming the polar rule's inner sums in row blocks must keep every
+    # bit: the default blocks, one block of every row and one row per block.
     for seed in range(3 if points < 64 else 1):
         rho = _random_state(1000 * points + 10 * window.n1 + window.m1 + seed)
-        fine, coarse = wg.volume_pair(rho, points, window)
-        assert fine == _unstreamed_volume(rho, points, window)
-        assert coarse == _unstreamed_volume(rho, max(8, half), window)
+        streamed = wg.volume_pair(rho, points, window)
+        for budget in (2**40, 1):
+            assert streamed == _blocked_volume(monkeypatch, rho, points, window, budget)
 
 
-def test_streamed_volume_peak_allocation():
-    # The unstreamed 64-point field alone is 268 MB; that path peaks near 400 MB.
+def test_polar_volume_peak_allocation():
+    # The 64-point field of `wigner_field` alone is 268 MB.
     window = FockWindow(0, 2)
     rho = _random_state(7)
     tracemalloc.start()
@@ -250,9 +249,9 @@ def test_streamed_volume_peak_allocation():
     assert peak < 80e6
 
 
-def test_streamed_volume_peak_does_not_grow_with_the_stack():
+def test_polar_volume_peak_does_not_grow_with_the_stack():
     # Each state's mode-A factor is formed in turn: 64 evolved coherent
-    # states (the streamed path) peak as one does, not 2.6 times as high.
+    # states (the polar rule) peak as one does.
     scn = scenario.parse_scenario(
         "schema = 1\nstate = coherent\nnbar_prime = 1.0\nmodel = markovian\n"
         "m1 = 1\nt_max = 1\nsteps = 64\n")
