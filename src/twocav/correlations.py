@@ -1,12 +1,13 @@
 """Entanglement and quantum-discord measures on the two-qubit window.
 
 The 4x4 window density matrix is treated as a pair of effective qubits with
-ordering |00>, |01>, |10>, |11>.  X-structured states get closed-form
-concurrence and discord; a brute-force discord minimization over projective
-measurements on the second subsystem serves as the oracle and as the
-fallback of `correlation_report` for states that are not X-structured.
+ordering |00>, |01>, |10>, |11>.  X-structured states get every measure in
+closed form (`_x_measures`); a brute-force discord minimization over
+projective measurements on the second subsystem serves as the oracle and,
+with the general `negativity` and `concurrence`, as the path of
+`correlation_report` for states that are not X-structured.
 X structure is `states.x_corners`' exact-zero test, so a state with any
-nonzero entry outside the X pattern, however small, takes brute force.
+nonzero entry outside the X pattern, however small, takes the general path.
 Brute force works on the state's real Bloch coefficients (t = Tr rho, a, b,
 T): a 64 x 64 scan over the measurement direction seeds a 5 x 5 stencil
 search, both vectorised over points, with no scipy.  Each stencil call
@@ -18,10 +19,8 @@ candidate lives in `errata`.
 `partial_transpose_b`, `negativity`, `concurrence` and `correlation_report`
 take one (4, 4) state or a (T, 4, 4) trajectory stack; a stack gets one
 stacked LAPACK call per measure and arrays back, a single state floats.
-Each stacked value is bit-identical to the value of its state on its own.
-The closed-form discord stays a per-state scalar evaluation: its
-`math.log2` and `math.hypot` are libm's, which numpy's vectorised
-transcendentals do not reproduce bit for bit.
+The X closed forms are elementwise numpy over the stack.  Each stacked
+value is bit-identical to the value of its state on its own.
 """
 
 import math
@@ -93,76 +92,92 @@ def concurrence_x_noon(rho):
     )
 
 
-def log_negativity_x_epr(rho):
-    """Closed-form logarithmic negativity for the anti-diagonal X state."""
-    p22, p33 = rho[1, 1].real, rho[2, 2].real
-    term = math.sqrt((p22 - p33) ** 2 + 4.0 * abs(rho[0, 3]) ** 2) - p22 - p33
-    return math.log2(1.0 + max(0.0, term))
-
-
-def log_negativity_x_noon(rho):
-    """Closed-form logarithmic negativity for the inner-block X state."""
-    p11, p44 = rho[0, 0].real, rho[3, 3].real
-    term = math.sqrt((p11 - p44) ** 2 + 4.0 * abs(rho[1, 2]) ** 2) - p11 - p44
-    return math.log2(1.0 + max(0.0, term))
-
-
-def _h2(x):
-    """Binary Shannon entropy in bits."""
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
-
-
 def von_neumann_entropy(rho):
     vals = np.linalg.eigvalsh(0.5 * (rho + np.conj(rho).T))
     vals = vals[vals > 1e-15]
     return float(-np.sum(vals * np.log2(vals)))
 
 
+def _x_measures(stack):
+    """Negativity, concurrence and discord of each X state of a (T, 4, 4)
+    stack, elementwise in the populations p and the corner moduli |rho14|
+    and |rho23|.  Each is the general measure's definition on a Hermitian
+    X state, positive or not:
+
+    - negativity sums (|e| - e) / 2 over the four partial-transpose
+      eigenvalues, two per 2x2 block (the transpose swaps the corners);
+    - concurrence takes Wootters' lambdas from the two 2x2 blocks of
+      rho rho~, whose eigenvalues are (p_i p_j + |c|^2) +/- 2 |c| sqrt(p_i p_j):
+      |sqrt(p_i p_j) +/- |c|| if p_i p_j >= 0, and else, for the complex
+      pair whose real part `concurrence` keeps, sqrt(max(0, p_i p_j + |c|^2))
+      twice (Yu and Eberly, Quantum Inf. Comput. 7, 459 (2007));
+    - discord is the larger of two candidate classical correlations, from
+      measuring B along z or in the x-y plane (Ali, Rau and Alber, PRA 81,
+      042105 (2010)); it misses an interior optimum where one exists.
+
+    A NaN entry gives the discord that scalar evaluation gives: each
+    condition is written so that NaN takes the branch it takes there.
+    """
+    p = np.real(np.diagonal(stack, axis1=-2, axis2=-1)).T
+    a14, a23 = np.abs(stack[:, 0, 3]), np.abs(stack[:, 1, 2])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pt = _block_eigenvalues(((p[0], p[3], a23), (p[1], p[2], a14)))
+        neg = 0.5 * np.sum(np.abs(pt) - pt, axis=0)
+
+        lam = []
+        for x, y, c in ((p[0], p[3], a14), (p[1], p[2], a23)):
+            xy = x * y
+            real = xy >= 0.0
+            root = np.sqrt(np.where(real, xy, 0.0))
+            pair = np.sqrt(np.maximum(xy + c * c, 0.0))
+            lam += (np.where(real, root + c, pair), np.where(real, np.abs(root - c), pair))
+        lam = np.sort(lam, axis=0)
+        conc = lam[3] - lam[2] - lam[1] - lam[0]
+        conc = np.where(conc > 0.0, conc, 0.0)
+
+        s_b = _binary_entropy(p[0] + p[2])  # marginal entropy of the measured qubit
+        s_ab = _entropy(_block_eigenvalues(((p[0], p[3], a14), (p[1], p[2], a23))))
+        # Candidate conditional entropies after a projective measurement on B.
+        s = 0.5 * (1.0 + np.sqrt((1.0 - 2.0 * (p[2] + p[3])) ** 2
+                                 + 4.0 * (a14 + a23) ** 2))
+        planar, axial = _binary_entropy(s), _entropy(p) - s_b
+        disc = s_b - s_ab + np.where(axial < planar, axial, planar)
+    return neg, conc, disc
+
+
+def _block_eigenvalues(blocks):
+    """(4, T) eigenvalues of the 2x2 blocks [[x, c], [c*, y]], two per block."""
+    out = []
+    for x, y, c in blocks:
+        r = np.hypot(x - y, 2.0 * c)
+        out += (0.5 * ((x + y) + r), 0.5 * ((x + y) - r))
+    return np.array(out)
+
+
+def _entropy(values):
+    """-sum v log2 v in bits over axis 0, counting only entries above 1e-15
+    (a NaN entry counts 0)."""
+    return np.sum(np.where(values > 1e-15, -values * np.log2(values), 0.0), axis=0)
+
+
+def _binary_entropy(x):
+    """Binary Shannon entropy in bits: 0 at or outside [0, 1], NaN at NaN."""
+    return np.where((x <= 0.0) | (x >= 1.0), 0.0,
+                    -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
+
+
 def discord_x(rho):
-    """Closed-form quantum discord of a two-qubit X state.
+    """Closed-form quantum discord of one two-qubit X state (`_x_measures`).
 
     The conditional entropy branch uses the larger of two candidate
     classical-correlation values.  The second candidate as printed misses
     its entropy weights; `errata.discord_second_branch_printed` exhibits
     that typo.
     """
+    rho = np.asarray(rho, dtype=complex)
     if x_corners(rho)[0]:
         raise DomainError("state is not X-structured")
-    (p, c14, c23), = _x_entries(np.asarray(rho)[None])
-    return _discord_x_value(p, c14, c23)
-
-
-def _x_entries(stack):
-    """Per state of a stack: the real diagonal and rho14, rho23, as Python
-    numbers (their arithmetic is numpy's scalar arithmetic, bit for bit)."""
-    diag = np.real(np.diagonal(stack, axis1=-2, axis2=-1)).tolist()
-    return zip(diag, stack[:, 0, 3].tolist(), stack[:, 1, 2].tolist())
-
-
-def _shannon(values):
-    """-sum v log2 v in bits, over the entries above 1e-15."""
-    s = 0.0
-    for v in values:
-        if v > 1e-15:
-            s -= v * math.log2(v)
-    return s
-
-
-def _discord_x_value(p, c14, c23):
-    """`discord_x` of an X state with diagonal p and corners c14, c23."""
-    a14, a23 = abs(c14), abs(c23)
-    s_b = _h2(p[0] + p[2])  # marginal entropy of the measured qubit
-    # Eigenvalues of the X state, two per corner block.
-    lam = []
-    for x, y, c in ((p[0], p[3], a14), (p[1], p[2], a23)):
-        r = math.hypot(x - y, 2.0 * c)
-        lam += (0.5 * ((x + y) + r), 0.5 * ((x + y) - r))
-    # Candidate conditional entropies after a projective measurement on B.
-    s = 0.5 * (1.0 + math.sqrt((1.0 - 2.0 * (p[2] + p[3])) ** 2
-                               + 4.0 * (a14 + a23) ** 2))
-    return s_b - _shannon(lam) + min(_h2(s), _shannon(p) - s_b)
+    return float(_x_measures(rho[None])[2][0])
 
 
 _PAULI = (np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), _SY,
@@ -278,18 +293,24 @@ class CorrelationReport:
 def correlation_report(rho):
     """All measures of a window state or of a (T, 4, 4) stack of them.
 
-    Discord falls back to brute force for each state that is not
-    X-structured (`states.x_corners`); a stack gets arrays of length T.
+    Each X state (`states.x_corners`) takes the closed forms of
+    `_x_measures`; every other state takes `negativity`, `concurrence` and
+    brute-force discord.  A stack gets arrays of length T.
     """
     rho = np.asarray(rho, dtype=complex)
     stack = rho.reshape(-1, 4, 4)
-    not_x = x_corners(stack)[0].tolist()
-    d = np.array([discord_bruteforce(r) if bad else _discord_x_value(*x)
-                  for r, bad, x in zip(stack, not_x, _x_entries(stack))])
-    neg = negativity(rho)
+    general = x_corners(stack)[0]
+    neg, conc, disc = np.empty((3, len(stack)))
+    neg[~general], conc[~general], disc[~general] = _x_measures(stack[~general])
+    if general.any():
+        others = stack[general]
+        neg[general], conc[general] = negativity(others), concurrence(others)
+        disc[general] = [discord_bruteforce(r) for r in others]
+    shape = rho.shape[:-2]
+    neg = _value(neg.reshape(shape))
     return CorrelationReport(
         negativity=neg,
         log_negativity=_log_negativity_of(neg),
-        concurrence=concurrence(rho),
-        discord=_value(d.reshape(rho.shape[:-2])),
+        concurrence=_value(conc.reshape(shape)),
+        discord=_value(disc.reshape(shape)),
     )

@@ -304,7 +304,9 @@ def evolve(rho0, params, model, times):
     # Non-finite blow-ups are caught by _output_states; keep numpy quiet.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            for t in times:
+            # Python floats: the models' scalar arithmetic runs faster on them,
+            # with the same bits.
+            for t in times.tolist():
                 thetas.append(model.theta(t))
         except OverflowGuardError as exc:
             overflow = exc
