@@ -21,6 +21,7 @@ take one (4, 4) state or a (T, 4, 4) trajectory stack; a stack gets one
 stacked LAPACK call per measure and arrays back, a single state floats.
 The X closed forms are elementwise numpy over the stack.  Each stacked
 value is bit-identical to the value of its state on its own.
+Every entropy, X closed form or brute force, is `_entropy` of eigenvalues.
 """
 
 import math
@@ -29,15 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .states import x_corners
+from .states import _value, hermitian_part, x_corners
 
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SPIN_FLIP = np.kron(_SY, _SY)
-
-
-def _value(x):
-    """A float for the single-state case, the array for a stack."""
-    return float(x) if np.ndim(x) == 0 else x
 
 
 def partial_transpose_b(rho):
@@ -49,18 +45,14 @@ def partial_transpose_b(rho):
 
 def negativity(rho):
     """Sum of the magnitudes of the negative partial-transpose eigenvalues."""
-    pt = partial_transpose_b(rho)
-    # (pt + pt^dagger) / 2 in place (pt is a fresh copy): fewer stack copies.
-    pt += pt.conj().swapaxes(-1, -2)
-    pt *= 0.5
-    vals = np.linalg.eigvalsh(pt)
+    vals = np.linalg.eigvalsh(hermitian_part(partial_transpose_b(rho)))
     return _value(0.5 * (np.sum(np.abs(vals), axis=-1) - np.sum(vals, axis=-1)))
 
 
 def _log_negativity_of(neg):
-    if np.ndim(neg) == 0:
-        return math.log2(1.0 + 2.0 * neg)
-    return np.array([math.log2(x) for x in (1.0 + 2.0 * neg).tolist()])
+    """log2(1 + 2 N) of a negativity or of each of an array, by libm's log2."""
+    x = 1.0 + 2.0 * np.asarray(neg, dtype=float)
+    return _value(np.reshape([math.log2(v) for v in x.ravel().tolist()], x.shape))
 
 
 def log_negativity(rho):
@@ -90,12 +82,6 @@ def concurrence_x_noon(rho):
     return 2.0 * max(
         0.0, abs(rho[1, 2]) - math.sqrt(max(0.0, (rho[0, 0] * rho[3, 3]).real))
     )
-
-
-def von_neumann_entropy(rho):
-    vals = np.linalg.eigvalsh(0.5 * (rho + np.conj(rho).T))
-    vals = vals[vals > 1e-15]
-    return float(-np.sum(vals * np.log2(vals)))
 
 
 def _x_measures(stack):
@@ -156,8 +142,9 @@ def _block_eigenvalues(blocks):
 
 def _entropy(values):
     """-sum v log2 v in bits over axis 0, counting only entries above 1e-15
-    (a NaN entry counts 0)."""
-    return np.sum(np.where(values > 1e-15, -values * np.log2(values), 0.0), axis=0)
+    (a NaN entry counts 0); log2 warns only on entries it drops."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.sum(np.where(values > 1e-15, -values * np.log2(values), 0.0), axis=0)
 
 
 def _binary_entropy(x):
@@ -248,8 +235,7 @@ def discord_bruteforce(rho):
     """
     rho = np.asarray(rho, dtype=complex)
     rho_b = np.einsum("aiaj->ij", rho.reshape(2, 2, 2, 2))
-    s_b = von_neumann_entropy(rho_b)
-    s_ab = von_neumann_entropy(rho)
+    s_b, s_ab = (_entropy(np.linalg.eigvalsh(hermitian_part(r))) for r in (rho_b, rho))
 
     c = _bloch_coefficients(rho)
     thetas = np.linspace(0.0, math.pi, BRUTEFORCE_GRID)
@@ -277,7 +263,7 @@ def discord_bruteforce(rho):
         d_theta, d_phi = d_theta * _HALVINGS[j], d_phi * _HALVINGS[j]
         a, b = divmod(int(at[j]), len(_STENCIL))
         best, theta, phi = vals[j, at[j]], ths[j, a], phs[j, b]
-    return s_b - s_ab + float(best)
+    return float(s_b - s_ab + best)
 
 
 @dataclass

@@ -9,9 +9,9 @@ For the vacuum reservoir with the leaky closure (nbar = 0) A is upper
 triangular, and `evolve_analytic_vacuum` evaluates the propagator in
 closed form on any window, vectorised over the grid.  Every other
 generator is exponentiated a few grid times per `expm` call, bit-identical
-to one call per grid time.  Either way the trajectory comes back as one
-(T, 4, 4) stack.  A fixed-step RK4 integration (`evolve_ode`) stays as the
-test oracle of both.
+to one call per grid time.  Either way `evolve` checks the (T, 16) vectors
+once and returns their Hermitian parts as one (T, 4, 4) stack; a fixed-step
+RK4 integration (`evolve_ode`) stays as the test oracle of both.
 """
 
 import math
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, IntegrationError, OverflowGuardError
-from .states import FockWindow
+from .states import FockWindow, hermitian_part
 
 OVERFLOW_EXPONENT = 700.0
 
@@ -256,36 +256,32 @@ def _time_grid(times):
 
 
 def _output_states(vecs, times):
-    """Re-symmetrized states rho -> (rho + rho^dagger)/2 of the (n, 16)
-    vectors at times; raises at the first time whose state is non-finite."""
+    """Hermitian parts of the (n, 16) vectors at times as (n, 4, 4) states;
+    raises at the first time whose state is non-finite."""
     finite = np.isfinite(vecs).all(axis=1)
     if not finite.all():
         t = times[int(np.argmin(finite))]
         raise IntegrationError("state became non-finite at t = %g" % t, time=float(t))
-    mats = vecs.reshape(-1, 4, 4)
-    return 0.5 * (mats + mats.conj().swapaxes(-1, -2))
+    return hermitian_part(vecs.reshape(-1, 4, 4))
 
 
 # Grid times per `expm` call.  Batching saves the per-call overhead.  scipy's
 # `expm` keeps one (5, 16, 16) Pade work array per call and loops over the
-# slices, so the chunk bounds the (chunk, 16, 16) input and output stacks:
-# peak memory does not grow with the trajectory.
+# slices, so the chunk bounds the (chunk, 16, 16) input and output stacks.
 _EXPM_CHUNK = 8
 
 
-def _expm_states(rho, params, thetas, times):
-    """States expm(Theta A) rho at the grid times of thetas, a chunk of grid
-    times per `expm` call and checked chunk by chunk; bit-identical to one
-    call per time."""
+def _expm_vectors(rho, params, thetas):
+    """(len(thetas), 16) vectors expm(Theta A) vec(rho), a chunk of grid
+    times per `expm` call; bit-identical to one call per time."""
     from scipy import linalg  # deferred: the vacuum reservoir needs no expm
 
     gen = generator_matrix(params)
     vec = rho.ravel()
-    out = np.empty((len(thetas), 4, 4), dtype=complex)
+    out = np.empty((len(thetas), 16), dtype=complex)
     for start in range(0, len(thetas), _EXPM_CHUNK):
         chunk = thetas[start:start + _EXPM_CHUNK]
-        vecs = linalg.expm(np.multiply.outer(chunk, gen)) @ vec
-        out[start:start + len(chunk)] = _output_states(vecs, times[start:])
+        out[start:start + len(chunk)] = linalg.expm(np.multiply.outer(chunk, gen)) @ vec
     return out
 
 
@@ -313,12 +309,12 @@ def evolve(rho0, params, model, times):
         thetas = np.array(thetas, dtype=float)
         if params.nbar == 0 and params.closure_mode == LEAKY:
             vecs = evolve_analytic_vacuum(rho, thetas, params.window).reshape(-1, 16)
-            # The closed form has a finite limit at Theta = inf whenever
-            # n1 + m1 > 0; a non-finite Theta must still fail at its time.
-            vecs[~np.isfinite(thetas)] = np.nan
-            out = _output_states(vecs, times)
         else:
-            out = _expm_states(rho, params, thetas, times)
+            vecs = _expm_vectors(rho, params, thetas)
+        # A non-finite Theta fails at its time on both paths, though the
+        # closed form has a finite limit at Theta = inf whenever n1 + m1 > 0.
+        vecs[~np.isfinite(thetas)] = np.nan
+        out = _output_states(vecs, times)
     if overflow is not None:
         raise overflow
     return Trajectory(times=times.copy(), states=out)

@@ -40,7 +40,6 @@ class Scenario:
     (which holds every default).  `rho0` and `times` are read-only."""
 
     state: str
-    window: states.FockWindow
     model: object
     evolution: dynamics.EvolutionParams
     rho0: np.ndarray
@@ -51,6 +50,10 @@ class Scenario:
 
     def __post_init__(self):
         self.rho0.flags.writeable = self.times.flags.writeable = False
+
+    @property
+    def window(self):
+        return self.evolution.window
 
     @property
     def p(self):
@@ -167,7 +170,6 @@ def parse_scenario(text):
         window = states.FockWindow(n1=values.get("n1", 0), m1=values.get("m1", 0))
         return Scenario(
             state=state,
-            window=window,
             model=_model(values),
             evolution=dynamics.EvolutionParams(
                 window=window, nbar=values.get("nbar", 0.0),

@@ -3,7 +3,8 @@
 Everything in this package lives on the 4-dimensional window spanned by
 {|n1,m1>, |n1,m1+1>, |n1+1,m1>, |n1+1,m1+1>} for two cavity modes A and B.
 Density matrices are plain 4x4 complex numpy arrays over that basis, in
-that order.
+that order.  `hermitian_part` is the package's one rule for
+(rho + rho^dagger)/2, and `_value` gives a single state's result as a float.
 
 `x_corners` is the package's one test of X structure, with exact zeros
 and no tolerance: the printed window generator's nine invariant blocks
@@ -35,6 +36,17 @@ class FockWindow:
     def basis_labels(self):
         n1, m1 = self.n1, self.m1
         return [(n1, m1), (n1, m1 + 1), (n1 + 1, m1), (n1 + 1, m1 + 1)]
+
+
+def _value(x):
+    """A float for the single-state case, the array for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def hermitian_part(rho):
+    """(rho + rho^dagger)/2 of one state or of each state of a stack, which
+    equals its own conjugate transpose exactly."""
+    return 0.5 * (rho + np.conj(rho).swapaxes(-1, -2))
 
 
 def _normalize(raw):

@@ -12,7 +12,8 @@ diagonal and off the family's corner pair exactly zero, as the window
 generator keeps them on an EPR or NOON trajectory; else PatternError.
 The channel may be one (4, 4) state or a (T, 4, 4) trajectory stack; a
 stack is teleported in one pass and gets arrays back, each value
-bit-identical to that of its state on its own.
+bit-identical to that of its state on its own.  The map preserves
+Hermiticity and rounding does not, so each output is made Hermitian.
 """
 
 import math
@@ -21,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import correlations
-from .correlations import _PAULI_PAIRS, _value
+from .correlations import _PAULI_PAIRS
 from .errors import DomainError, PatternError
-from .states import X_CORNERS, x_corners
+from .states import X_CORNERS, _value, hermitian_part, x_corners
 
 PRINTED = "printed"
 SYMMETRIC = "symmetric"
@@ -115,13 +116,15 @@ def teleport_general(channel, inp):
     rho_out = sum_{ab} P_ab (sigma_a x sigma_b) rho_in (R_ab) with
     R_ab = sigma_b x sigma_a ('printed') or sigma_a x sigma_b
     ('symmetric', as inp.index_order says); P_ab is the product of Bell
-    overlaps.  The 16 terms are added in (a, b) row-major order.
+    overlaps.  The 16 terms are added in (a, b) row-major order, and rho_out
+    is the Hermitian part of their sum.
     """
     w = bell_weights(channel)
     probs = w[..., :, None] * w[..., None, :]
     out = np.zeros(probs.shape, dtype=complex)
     for k, term in enumerate(inp.corrections):
         out += probs[..., k // 4, k % 4, None, None] * term
+    out = hermitian_part(out)
     fid = np.real(_trace(inp.matrix @ out))
     return TeleportResult(rho_out=out, fidelity=_value(fid), probabilities=probs)
 

@@ -41,9 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import _value
 from .errors import ConsistencyError, DomainError, QuadratureConvergenceError
-from .states import FockWindow, x_corners
+from .states import FockWindow, _value, x_corners
 
 IMAG_TOL = 1e-10
 

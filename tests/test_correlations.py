@@ -193,6 +193,14 @@ def test_bloch_objective_matches_the_einsum_oracle(rho, theta, phi):
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
+def _eigen_entropy(rho):
+    """Oracle von Neumann entropy in bits: -sum v log2 v over the eigenvalues
+    of the Hermitian part above 1e-15."""
+    vals = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
+    vals = vals[vals > 1e-15]
+    return float(-np.sum(vals * np.log2(vals)))
+
+
 def _interior_optimum_state():
     """The X state on which the two-candidate `discord_x` misses the
     interior minimum over theta."""
@@ -221,7 +229,7 @@ def _discord_by_theta_search(rho):
             s_cond, bounds=(thetas[max(k - 1, 0)], thetas[min(k + 1, 4000)]),
             method="bounded", options={"xatol": 1e-12})
         best = min(best, res.fun, s_cond(0.0), s_cond(math.pi))
-    return co.von_neumann_entropy(rho_b) - co.von_neumann_entropy(rho) + best
+    return _eigen_entropy(rho_b) - _eigen_entropy(rho) + best
 
 
 def test_bruteforce_finds_the_interior_optimum():
@@ -289,8 +297,8 @@ def _sequential_discord(rho):
     one step per stencil evaluation, on the stacked objective."""
     rho = np.asarray(rho, dtype=complex)
     rho_b = np.einsum("aiaj->ij", rho.reshape(2, 2, 2, 2))
-    s_b = co.von_neumann_entropy(rho_b)
-    s_ab = co.von_neumann_entropy(rho)
+    s_b = _eigen_entropy(rho_b)
+    s_ab = _eigen_entropy(rho)
     c = co._bloch_coefficients(rho)
     thetas = np.linspace(0.0, math.pi, co.BRUTEFORCE_GRID)
     phis = np.linspace(0.0, 2.0 * math.pi, co.BRUTEFORCE_GRID, endpoint=False)

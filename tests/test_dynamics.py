@@ -308,6 +308,17 @@ def test_vacuum_non_finite_theta_raises_at_its_time(window, bad):
     assert info.value.time == 2.0
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_expm_non_finite_theta_raises_at_its_time(bad):
+    # The same rule on the expm path, across a chunk boundary.
+    n = dynamics._EXPM_CHUNK + 2
+    table = {float(t): 0.1 * t for t in range(n)}
+    table[float(n - 2)], table[float(n - 1)] = bad, None
+    with pytest.raises(IntegrationError) as info:
+        dynamics.evolve(bell_epr(), THERMAL, ThetaTable(table), sorted(table))
+    assert info.value.time == n - 2
+
+
 @pytest.mark.parametrize("times", [[0.0, 0.001, 0.71, 0.72], [0.0, 0.001, 0.35, 0.71]])
 def test_vacuum_branch_keeps_the_ohmic_guard(times):
     # At t = 0.35 Theta is about 1.8e150: expm overflows there, the closed

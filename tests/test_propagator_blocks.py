@@ -73,7 +73,7 @@ def test_vacuum_closed_form_is_no_less_accurate_than_expm():
             gen = dynamics.generator_matrix(params)
             assert not np.any(gen.imag)
             closed = dynamics.evolve_analytic_vacuum(rho0, thetas, window).reshape(-1, 16)
-            expm = dynamics._expm_states(rho0, params, thetas, thetas).reshape(-1, 16)
+            expm = dynamics._expm_vectors(rho0, params, thetas)
             for k, theta in enumerate(thetas):
                 props = {}
                 for idx in BLOCKS.values():

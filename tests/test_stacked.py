@@ -70,6 +70,7 @@ def ref_teleport(channel, inp):
     out = np.zeros((4, 4), dtype=complex)
     for weight, term in zip(probs.flat, inp.corrections):
         out += weight * term
+    out = 0.5 * (out + out.conj().T)
     fid = float(np.real(np.trace(inp.matrix @ out)))
     return out, fid, ref_report(out / float(np.real(np.trace(out))))
 

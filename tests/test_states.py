@@ -185,3 +185,12 @@ def test_x_corners_of_stacks_match_each_state():
     outside, corners = states.x_corners(real)
     assert outside.tolist() == [False, False, True]
     assert corners.tolist() == [[True, False], [False, False], [False, False]]
+
+
+def test_hermitian_part_of_a_stack_matches_each_state():
+    rng = np.random.default_rng(30)
+    stack = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+    herm = states.hermitian_part(stack)
+    assert np.array_equal(herm, herm.conj().swapaxes(-1, -2))
+    assert np.array_equal(herm, [0.5 * (r + r.conj().T) for r in stack])
+    assert np.array_equal(states.hermitian_part(stack[2]), herm[2])

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from twocav import dynamics, states, teleport as tp
+from twocav import cli, correlations as co, dynamics, states, teleport as tp
 from twocav.correlations import _PAULI as PAULI
 from twocav.errors import DomainError, PatternError
 
@@ -226,7 +226,8 @@ def test_index_order_validation():
 
 def _teleport_reference(channel, inp, index_order):
     """Per-call Kronecker-product loop: the map before its input-only
-    terms were precomputed, in the same (a, b) summation order."""
+    terms were precomputed, in the same (a, b) summation order, then the
+    Hermitian part of the sum."""
     w = tp.bell_weights(channel)
     probs = np.outer(w, w)
     out = np.zeros((4, 4), dtype=complex)
@@ -236,6 +237,7 @@ def _teleport_reference(channel, inp, index_order):
             right = (np.kron(PAULI[b], PAULI[a])
                      if index_order == tp.PRINTED else left)
             out += probs[a, b] * (left @ inp.matrix @ right)
+    out = 0.5 * (out + out.conj().T)
     return out, float(np.real(np.trace(inp.matrix @ out)))
 
 
@@ -256,3 +258,52 @@ def test_precomputed_terms_match_kron_reference_exactly():
                 out, fid = _teleport_reference(channel, inp, order)
                 assert np.array_equal(res.rho_out, out)
                 assert res.fidelity == fid
+
+
+def _figure_channels():
+    """(trajectory stack, p, q) of every teleport panel of fig6-fig9."""
+    out = []
+    for panels in cli.FIGURES.values():
+        for keys, outputs in panels:
+            if any(cmd == "teleport" for cmd, _ in outputs):
+                scn = cli._scn(**keys)
+                traj = dynamics.evolve(scn.rho0, scn.evolution, scn.model, scn.times)
+                out.append((traj.states, scn.p, scn.q))
+    return out
+
+
+def _random_x_channels(rng, count):
+    """Positive X states with both corner pairs set, at random phases."""
+    out = np.zeros((count, 4, 4), dtype=complex)
+    for rho in out:
+        d = rng.random(4)
+        d /= d.sum()
+        rho[np.diag_indices(4)] = d
+        for i, j in states.X_CORNERS:
+            c = rng.random() * math.sqrt(d[i] * d[j]) * np.exp(2j * math.pi * rng.random())
+            rho[i, j], rho[j, i] = c, np.conj(c)
+    return out
+
+
+def _adjoint(rho):
+    return rho.conj().swapaxes(-1, -2)
+
+
+@pytest.mark.parametrize("order", [tp.PRINTED, tp.SYMMETRIC])
+def test_teleported_outputs_are_hermitian_bit_for_bit(order):
+    # The 16-term sum alone leaves 827 of the 1800 figure outputs unequal to
+    # their conjugate transposes, by up to 5.6e-17, so a measure read off
+    # one triangle differed from the same measure read off the other.
+    rng = np.random.default_rng(30)
+    cases = _figure_channels() + [(_random_x_channels(rng, 40), p, q)
+                                  for p, q in ((0.0, 1.0), (0.3, 0.4), (0.99, 0.97))]
+    assert sum(len(channels) for channels, _, _ in cases[:-3]) == 1800
+    for channels, p, q in cases:
+        inp = tp.input_state(p, q, order)
+        stacked = tp.teleport_general(channels, inp).rho_out
+        single = np.array([tp.teleport_general(rho, inp).rho_out for rho in channels])
+        assert np.array_equal(single, stacked)
+        assert np.array_equal(stacked, _adjoint(stacked))
+        rep, rep_adjoint = (co.correlation_report(r) for r in (stacked, _adjoint(stacked)))
+        for name in ("negativity", "log_negativity", "concurrence", "discord"):
+            assert np.array_equal(getattr(rep, name), getattr(rep_adjoint, name)), name
