@@ -14,7 +14,7 @@ search, both vectorised over points, with no scipy.  Each stencil call
 evaluates the current step and every halving still allowed as one batch of
 levels, and returns the bits of the one-step-at-a-time search.
 Each measure has one production implementation; the printed discord
-candidate lives in `errata`.
+candidate lives in tests/errata.py.
 
 `partial_transpose_b`, `negativity`, `concurrence` and `correlation_report`
 take one (4, 4) state or a (T, 4, 4) trajectory stack; a stack gets one
@@ -53,10 +53,6 @@ def _log_negativity_of(neg):
     """log2(1 + 2 N) of a negativity or of each of an array, by libm's log2."""
     x = 1.0 + 2.0 * np.asarray(neg, dtype=float)
     return _value(np.reshape([math.log2(v) for v in x.ravel().tolist()], x.shape))
-
-
-def log_negativity(rho):
-    return _log_negativity_of(negativity(rho))
 
 
 def concurrence(rho):
@@ -158,8 +154,8 @@ def discord_x(rho):
 
     The conditional entropy branch uses the larger of two candidate
     classical-correlation values.  The second candidate as printed misses
-    its entropy weights; `errata.discord_second_branch_printed` exhibits
-    that typo.
+    its entropy weights; `discord_second_branch_printed` in
+    tests/errata.py exhibits that typo.
     """
     rho = np.asarray(rho, dtype=complex)
     if x_corners(rho)[0]:

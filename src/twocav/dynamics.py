@@ -130,30 +130,6 @@ class Trajectory:
     states: np.ndarray  # shape (len(times), 4, 4)
 
 
-def gamma_kernel_quadrature(t, omega_c):
-    """Numeric double quadrature of the dissipation kernel, the oracle
-    for `KernelIntegral.rate`.
-
-    Integrates the Ohmic spectral density against sin(w s) over w (Fourier
-    quadrature on the infinite interval), then over s on [0, t].
-    """
-    from scipy import integrate  # deferred: only this oracle needs it
-
-    def inner(s):
-        val, _ = integrate.quad(
-            lambda w: (2.0 * w / math.pi) * omega_c**2 / (omega_c**2 + w**2),
-            0.0,
-            np.inf,
-            weight="sin",
-            wvar=s,
-            limit=200,
-        )
-        return 2.0 * val
-
-    val, _ = integrate.quad(inner, 0.0, t, limit=200)
-    return val
-
-
 def accumulated_theta(model, t):
     """Accumulated decoherence Theta(t) of model at a checked time t >= 0;
     d(Theta)/dt = model.rate(t)."""
@@ -169,8 +145,9 @@ def _upper(rho, params):
     theta*(n1+m1+2) (the printed index product is inconsistent with the
     vacuum closed forms), and the extra theta/2 term of rho13 takes the same
     nbar factor as its rho12 mirror (the printed form without it is
-    `errata.rho13_strict_printed`).  Paper closure replaces the rho44 row by
-    the trace-closure constraint.  The lower triangle is left unset.
+    `rho13_strict_printed` in tests/errata.py).  Paper closure replaces the
+    rho44 row by the trace-closure constraint.  The lower triangle is left
+    unset.
     """
     n1, m1 = params.window.n1, params.window.m1
     nb = params.nbar
@@ -377,8 +354,7 @@ def evolve_analytic_vacuum(rho0, theta, window):
     and the lower triangle applies the same coefficients to the transposed
     entries.  Every coefficient is a product of non-negative factors, so
     nothing cancels, and for Theta >= 0 none exceeds a b.  The printed
-    n1 = m1 solutions contain exponent typos; they are kept in the errata
-    module.
+    n1 = m1 solutions contain exponent typos; tests/errata.py keeps them.
     """
     n = window.n1 + window.m1
     a, b = window.n1 + 1.0, window.m1 + 1.0

@@ -173,15 +173,6 @@ def closed_form_noon(channel, p, q):
     return _closed_form(rho, np.real(rho[..., 0, 0]), rho[..., 1, 2], p, q)
 
 
-def closed_form_matrix(c1, c2, c3):
-    """Assemble the closed-form output block (c1 diag corners, c2/c3 cross)."""
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = m[3, 3] = c1
-    m[0, 3] = m[3, 0] = c2
-    m[1, 2] = m[2, 1] = c3
-    return m
-
-
 def closed_form_fidelity(c1, c2, q):
     return c1 + q * c2
 

@@ -28,11 +28,11 @@ X-state section below).  The coarse twin is the same rule at half the
 points.  `wigner_field` and `integrate_field`, the trapezoid rule on the
 box [-L, L]^4, stay as a test reference.
 
-The Laguerre closed form `displaced_parity` fills every table; the printed
-closed form it replaces is `errata.displaced_parity_printed`.
-`displaced_parity_oracle` (expm of the truncated generator) and
-`parity_table` (batched eigendecomposition) are independent test oracles
-for the closed form and are not used to build the Wigner function.
+The Laguerre closed form `displaced_parity` fills every table.
+`parity_table` (batched eigendecomposition) is an independent test oracle
+for it and is not used to build the Wigner function.  The other oracle,
+expm of the truncated generator, is in tests/oracles.py, and the printed
+closed form that `displaced_parity` replaces is in tests/errata.py.
 """
 
 import functools
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError, QuadratureConvergenceError
+from .errors import ConsistencyError, DomainError
 from .states import FockWindow, _value, x_corners
 
 IMAG_TOL = 1e-10
@@ -99,55 +99,6 @@ def displaced_parity(m, mp, alpha):
         * np.exp(-0.5 * b2)
         * laguerre_assoc(m, mp - m, b2)
     )
-
-
-def _parity_from_displacement(d_rows, m_list):
-    """K[p, q] = sum_k <p|D|k> (-1)^k <q|D|k>^* from rows of D(alpha)."""
-    signs = (-1.0) ** np.arange(d_rows.shape[-1])
-    out = np.empty((len(m_list), len(m_list)), dtype=complex)
-    for i in range(len(m_list)):
-        for j in range(len(m_list)):
-            out[i, j] = np.sum(d_rows[i] * signs * np.conj(d_rows[j]))
-    return out
-
-
-def displaced_parity_oracle(m, mp, alpha, cutoff=None, check=True):
-    """Test oracle: displaced-parity element from the truncated generator.
-
-    Builds D(alpha) = expm(alpha a^dag - alpha^* a) at the given Fock
-    cutoff.  With check=True the value is compared against cutoff + 10 and
-    a convergence error is raised if they differ by more than 1e-10.
-    """
-    if m < 0 or mp < 0:
-        raise DomainError("Fock indices must be non-negative")
-    if cutoff is None:
-        cutoff = suggested_cutoff(max(m, mp), abs(alpha))
-    if cutoff < max(m, mp) + 20:
-        raise DomainError("cutoff must be at least max(m, mp) + 20")
-    from scipy import linalg  # deferred: only this oracle needs it
-
-    def element(nc):
-        k = np.arange(1, nc)
-        adag = np.zeros((nc, nc))
-        adag[k, k - 1] = np.sqrt(k)
-        d = linalg.expm(alpha * adag - np.conj(alpha) * adag.T)
-        return _parity_from_displacement(d[[m, mp], :], [m, mp])[0, 1]
-
-    val = element(cutoff)
-    if check:
-        refined = element(cutoff + 10)
-        if abs(refined - val) > 1e-10:
-            raise QuadratureConvergenceError(
-                "displaced-parity element not converged at cutoff %d" % cutoff,
-                fine=refined,
-                coarse=val,
-            )
-    return val
-
-
-def suggested_cutoff(m_max, amax):
-    """Fock cutoff large enough for displaced states up to |alpha| = amax."""
-    return int(m_max + amax**2 + 12.0 * math.sqrt(amax**2 + 1.0) + 25)
 
 
 def parity_table(alphas, window_index, cutoff):

@@ -8,16 +8,17 @@ are the production ones, and this module does not wrap them: the
 populations are the diagonal of `dynamics.evolve_analytic_vacuum`, the
 rho13 coherence comes from the generator behind `dynamics.evolve`, the
 displaced-parity element is `wigner.displaced_parity`, and the discord is
-`correlations.discord_x`.  Nothing in this module is used by the
-production paths.
+`correlations.discord_x`.  The package does not import this module: it
+sits beside the tests, which import it as `errata`, and its name does not
+match test_*.py, so pytest does not collect it.
 """
 
 import math
 
 import numpy as np
 
-from .errors import DomainError
-from .wigner import laguerre_assoc
+from twocav.errors import DomainError
+from twocav.wigner import laguerre_assoc
 
 
 def printed_populations(rho0, theta_t, m1):

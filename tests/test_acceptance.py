@@ -12,7 +12,10 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from twocav import cli, correlations, dynamics, errata, states, teleport, wigner
+from twocav import cli, correlations, dynamics, states, teleport, wigner
+
+import errata
+import oracles
 
 INV_SQRT2 = 2 ** -0.5
 
@@ -125,7 +128,7 @@ def test_criterion_5_measure_identities():
     for _ in range(1000):
         rho = _random_density(rng)
         n = correlations.negativity(rho)
-        ln = correlations.log_negativity(rho)
+        ln = oracles.log_negativity(rho)
         ok &= abs(ln - math.log2(1.0 + 2.0 * n)) <= 1e-10
     for _ in range(1000):
         rho = _random_x_state(rng)
@@ -153,10 +156,10 @@ def test_criterion_6_wigner_checks():
 
     for m, mp, alpha in ((0, 0, 0.7 + 0.3j), (1, 2, -0.4 + 0.9j),
                          (2, 2, 1.1 - 0.2j)):
-        cutoff = wigner.suggested_cutoff(max(m, mp), abs(alpha))
-        a = wigner.displaced_parity_oracle(m, mp, alpha, cutoff=cutoff,
+        cutoff = oracles.suggested_cutoff(max(m, mp), abs(alpha))
+        a = oracles.displaced_parity_oracle(m, mp, alpha, cutoff=cutoff,
                                            check=False)
-        b = wigner.displaced_parity_oracle(m, mp, alpha, cutoff=cutoff + 10,
+        b = oracles.displaced_parity_oracle(m, mp, alpha, cutoff=cutoff + 10,
                                            check=False)
         ok &= abs(a - b) <= 1e-10
 
@@ -201,7 +204,7 @@ def test_criterion_7_teleportation_exactness():
             res = teleport.teleport_general(rho, inp)
             c1, c2, c3 = closed(rho, 0.0, q)
             ok &= np.max(np.abs(res.rho_out
-                                - teleport.closed_form_matrix(c1, c2, c3))) <= 1e-10
+                                - oracles.closed_form_matrix(c1, c2, c3))) <= 1e-10
             ok &= abs(res.fidelity
                       - teleport.closed_form_fidelity(c1, c2, q)) <= 1e-10
     _report(7, ok)
@@ -280,7 +283,7 @@ def test_criterion_9_errata_enforced():
     worst_printed = 0.0
     worst_fixed = 0.0
     for m, mp in ((0, 0), (0, 1), (1, 2), (2, 2)):
-        oracle = wigner.displaced_parity_oracle(m, mp, alpha)
+        oracle = oracles.displaced_parity_oracle(m, mp, alpha)
         printed = errata.displaced_parity_printed(m, mp, alpha)
         fixed = wigner.displaced_parity(m, mp, alpha)
         worst_printed = max(worst_printed, abs(printed - oracle))

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 from scipy import optimize
 
-from twocav import cli, correlations as co, dynamics, errata, states, teleport
+from twocav import cli, correlations as co, dynamics, states, teleport
 from twocav.errors import DomainError
+
+import errata
+import oracles
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -45,7 +48,7 @@ def test_bell_state_measures_are_unity():
         states.build_noon(INV_SQRT2, INV_SQRT2),
     ):
         assert co.negativity(rho) == pytest.approx(0.5, abs=1e-12)
-        assert co.log_negativity(rho) == pytest.approx(1.0, abs=1e-12)
+        assert oracles.log_negativity(rho) == pytest.approx(1.0, abs=1e-12)
         assert co.concurrence(rho) == pytest.approx(1.0, abs=1e-12)
         assert co.discord_x(rho) == pytest.approx(1.0, abs=1e-10)
 
@@ -61,14 +64,14 @@ def test_log_negativity_identity_random_states():
     for i in range(100):
         rho = random_state(rng)
         n = co.negativity(rho)
-        assert co.log_negativity(rho) == pytest.approx(
+        assert oracles.log_negativity(rho) == pytest.approx(
             math.log2(1.0 + 2.0 * n), abs=1e-10
         )
         # The report's discord falls back to brute force on these non-X
         # states, so check every tenth one to keep the suite fast.
         if i % 10 == 0:
             rep = co.correlation_report(rho)
-            assert rep.log_negativity == co.log_negativity(rho)
+            assert rep.log_negativity == oracles.log_negativity(rho)
             assert rep.negativity == n
 
 
@@ -92,7 +95,7 @@ def test_x_state_log_negativity_closed_forms():
         rho_noon[0, 3] = rho_noon[3, 0] = 0.0
         for r in (rho_epr, rho_noon, rho):
             assert co.correlation_report(r).log_negativity == pytest.approx(
-                co.log_negativity(r), abs=1e-10)
+                oracles.log_negativity(r), abs=1e-10)
 
 
 def test_discord_x_matches_bruteforce():
@@ -438,7 +441,7 @@ def test_measures_decay_along_trajectory():
     rho0 = states.build_epr(INV_SQRT2, INV_SQRT2)
     thetas = np.linspace(0.0, 1.5, 16)
     ln = [
-        co.log_negativity(dynamics.evolve_analytic_vacuum(rho0, th, states.FockWindow()))
+        oracles.log_negativity(dynamics.evolve_analytic_vacuum(rho0, th, states.FockWindow()))
         for th in thetas
     ]
     assert all(x >= y - 1e-12 for x, y in zip(ln, ln[1:]))

@@ -8,6 +8,8 @@ from twocav import cli, correlations, dynamics, states
 from twocav.errors import DomainError, IntegrationError, OverflowGuardError
 from twocav.states import FockWindow
 
+import oracles
+
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -78,7 +80,7 @@ def test_kernel_rate_against_quadrature_oracle():
     for t in (0.1, 0.5, 2.0):
         for wc in (0.5, 2.0):
             direct = dynamics.KernelIntegral(wc).rate(t)
-            oracle = dynamics.gamma_kernel_quadrature(t, wc)
+            oracle = oracles.gamma_kernel_quadrature(t, wc)
             assert direct == pytest.approx(oracle, abs=1e-8)
 
 

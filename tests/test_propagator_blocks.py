@@ -51,6 +51,35 @@ def test_generator_is_transpose_symmetric_bit_for_bit(nbar, closure):
         assert a4.transpose(1, 0, 3, 2).tobytes() == a4.tobytes()
 
 
+# Swapping the two modes maps window (n1, m1) to (m1, n1) and exchanges
+# basis states 2 and 3; on vec(rho) that is Q = P (x) P.
+_SWAP = np.eye(4)[[0, 2, 1, 3]]
+_MODE_EXCHANGE = np.kron(_SWAP, _SWAP)
+# (row, column) entries of vec(rho) where exchange fails at every nbar:
+# the rho12 <- rho34 and rho13 <- rho24 feeds both take n1 + 1, where
+# exchange asks for m1 + 1 in one of them, and their transposes.
+_FEEDS = [(1, 11), (2, 7), (4, 14), (8, 13)]
+# ...and at nbar > 0 only: the rho12 and rho13 thermal decays, which share
+# 1/2 nbar (2 n1 + m1 + 3), and their transposes.
+_THERMAL_DECAYS = [(1, 1), (2, 2), (4, 4), (8, 8)]
+
+
+@pytest.mark.parametrize("closure", [dynamics.LEAKY, dynamics.PAPER_CLOSURE])
+@pytest.mark.parametrize("nbar", [0.0, 0.3, 2.5])
+def test_mode_exchange_maps_the_generator_to_its_mirror_window(nbar, closure):
+    known = np.zeros((16, 16), dtype=bool)
+    for i, j in _FEEDS + (_THERMAL_DECAYS if nbar > 0 else []):
+        known[i, j] = True
+    for n1, m1 in ((0, 1), (0, 2), (2, 1), (1, 3), (3, 0)):
+        a, mirror = (dynamics.generator_matrix(dynamics.EvolutionParams(
+            window=FockWindow(*w), nbar=nbar, closure_mode=closure))
+            for w in ((n1, m1), (m1, n1)))
+        gap = np.abs(_MODE_EXCHANGE @ a @ _MODE_EXCHANGE.T - mirror)
+        assert np.all(gap[~known] <= 1e-12), (n1, m1)
+        # The named entries do differ, so a fix of either shows here.
+        assert np.all(gap[known] > 1e-12), (n1, m1)
+
+
 def _error(value, reference):
     return float(abs(mpmath.mpc(value.real, value.imag) - reference))
 

@@ -1,3 +1,4 @@
+import ast
 import functools
 import math
 import os
@@ -508,9 +509,47 @@ def test_cli_coherent_correlations_never_load_scipy_optimize(tmp_path):
 
 
 def test_cli_import_leaves_out_scipy_linalg():
-    # Only the expm path of evolve (nbar > 0 or the paper closure) and the
-    # displaced-parity oracle need scipy.linalg, and they import it late.
+    # Only the expm path of evolve (nbar > 0 or the paper closure) needs
+    # scipy.linalg, and it imports it late.
     assert "scipy.linalg" not in _scipy_after_cli_import()
+
+
+def _scipy_import_sites(tree):
+    """Dotted enclosing function or class of every `import scipy...` and
+    `from scipy... import` node of a module ('' at module level)."""
+    sites = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, owner + (child.name,))
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                names = [child.module]
+            else:
+                names = []
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                sites.append(".".join(owner))
+            visit(child, owner)
+
+    visit(tree, ())
+    return sites
+
+
+def test_scipy_is_imported_only_by_the_expm_propagator():
+    # README's Install claim: the package uses scipy only for `expm` in the
+    # general propagator.  Test oracles that need scipy live in tests/.
+    pkg = os.path.dirname(os.path.abspath(twocav.__file__))
+    sites = set()
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                tree = ast.parse(fh.read())
+            sites.update(name[:-3] + "." + owner
+                         for owner in _scipy_import_sites(tree))
+    assert sites == {"dynamics._expm_vectors"}
 
 
 def _reference_write_csv(path, comment, header, rows):

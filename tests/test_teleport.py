@@ -8,6 +8,8 @@ from twocav import cli, correlations as co, dynamics, states, teleport as tp
 from twocav.correlations import _PAULI as PAULI
 from twocav.errors import DomainError, PatternError
 
+import oracles
+
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -169,7 +171,7 @@ def test_closed_form_equals_general_on_balanced_inputs():
         channel = dynamics.evolve_analytic_vacuum(rho0, theta, states.FockWindow())
         for q in (0.25, 0.7, 1.0):
             res = tp.teleport_general(channel, tp.input_state(0.0, q))
-            k = tp.closed_form_matrix(*tp.closed_form_epr(channel, 0.0, q))
+            k = oracles.closed_form_matrix(*tp.closed_form_epr(channel, 0.0, q))
             assert np.max(np.abs(res.rho_out - k)) < 1e-12
 
 
@@ -191,7 +193,7 @@ def test_noon_closed_form_equals_general():
     for theta in np.linspace(0.0, 2.0, 7):
         channel = dynamics.evolve_analytic_vacuum(rho0, theta, states.FockWindow())
         res = tp.teleport_general(channel, tp.input_state(0.0, 0.9))
-        a = tp.closed_form_matrix(*tp.closed_form_noon(channel, 0.0, 0.9))
+        a = oracles.closed_form_matrix(*tp.closed_form_noon(channel, 0.0, 0.9))
         assert np.max(np.abs(res.rho_out - a)) < 1e-12
 
 

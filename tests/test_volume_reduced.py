@@ -177,7 +177,7 @@ def test_routing_decides_from_exact_zeros():
     assert wg._reduced(epr[None], FockWindow(wg._REDUCED_MAX_INDEX - 1, 0))[0]
 
 
-def test_non_x_states_keep_the_streamed_path_bit_for_bit():
+def test_non_x_states_keep_the_polar_rule_bit_for_bit():
     rng = np.random.default_rng(23)
     window = FockWindow(1, 0)
     extent = wg.default_extent(window)
@@ -201,7 +201,7 @@ def test_non_finite_states_read_nan_volumes():
             assert np.isnan(wg.volume_pair(rho, 10)).all()
 
 
-def test_non_hermitian_x_state_raises_on_the_streamed_path():
+def test_non_hermitian_x_state_raises_on_the_polar_rule():
     rho = states.build_epr(0.6, 0.8)
     rho[3, 0] = 0.2  # rho41 != conj(rho14): W has an imaginary part
     assert not wg._reduced(rho[None], FockWindow())[0]

@@ -4,9 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from twocav import cli, dynamics, errata, scenario, states, wigner as wg
+from twocav import cli, dynamics, scenario, states, wigner as wg
 from twocav.errors import ConsistencyError, DomainError, QuadratureConvergenceError
 from twocav.states import FockWindow
+
+import errata
+import oracles
 
 W0 = FockWindow(0, 0)
 VACUUM = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
@@ -36,29 +39,29 @@ def test_displaced_parity_paper_origin_values():
 
 
 def test_displaced_parity_oracle_origin_and_convergence():
-    assert wg.displaced_parity_oracle(0, 0, 0.0) == pytest.approx(1.0, abs=1e-12)
-    val = wg.displaced_parity_oracle(0, 0, 1.0)
+    assert oracles.displaced_parity_oracle(0, 0, 0.0) == pytest.approx(1.0, abs=1e-12)
+    val = oracles.displaced_parity_oracle(0, 0, 1.0)
     assert val.real == pytest.approx(math.exp(-2.0), abs=1e-12)
     # convergence under cutoff + 10
-    a = wg.displaced_parity_oracle(1, 2, 0.7 - 0.2j, cutoff=60, check=False)
-    b = wg.displaced_parity_oracle(1, 2, 0.7 - 0.2j, cutoff=70, check=False)
+    a = oracles.displaced_parity_oracle(1, 2, 0.7 - 0.2j, cutoff=60, check=False)
+    b = oracles.displaced_parity_oracle(1, 2, 0.7 - 0.2j, cutoff=70, check=False)
     assert abs(a - b) < 1e-10
 
 
 def test_displaced_parity_oracle_hermiticity():
     alpha = 0.3 + 0.4j
-    k01 = wg.displaced_parity_oracle(0, 1, alpha)
-    k10 = wg.displaced_parity_oracle(1, 0, alpha)
+    k01 = oracles.displaced_parity_oracle(0, 1, alpha)
+    k10 = oracles.displaced_parity_oracle(1, 0, alpha)
     assert k01 == pytest.approx(np.conj(k10), abs=1e-12)
 
 
 def test_displaced_parity_oracle_cutoff_guard():
     with pytest.raises(DomainError):
-        wg.displaced_parity_oracle(3, 3, 0.1, cutoff=10)
+        oracles.displaced_parity_oracle(3, 3, 0.1, cutoff=10)
 
 
 def test_negative_fock_indices_raise():
-    for element in (wg.displaced_parity, wg.displaced_parity_oracle):
+    for element in (wg.displaced_parity, oracles.displaced_parity_oracle):
         for m, mp in ((-1, 0), (0, -1)):
             with pytest.raises(DomainError):
                 element(m, mp, 0.2)
@@ -67,25 +70,25 @@ def test_negative_fock_indices_raise():
 def test_displaced_parity_oracle_raises_when_not_converged():
     # At |alpha| = 6 the cutoff 21 truncates D(alpha) far from convergence.
     with pytest.raises(QuadratureConvergenceError):
-        wg.displaced_parity_oracle(0, 1, 6.0, cutoff=21)
+        oracles.displaced_parity_oracle(0, 1, 6.0, cutoff=21)
 
 
 def test_paper_elements_flagged_off_origin():
     # The printed closed form disagrees with the oracle away from alpha=0.
     alpha = 1.0
     paper = errata.displaced_parity_printed(0, 0, alpha)
-    oracle = wg.displaced_parity_oracle(0, 0, alpha)
+    oracle = oracles.displaced_parity_oracle(0, 0, alpha)
     assert abs(paper - oracle) > 0.1
 
 
 def test_parity_table_matches_oracle_elements():
     alphas = [0.0, 0.5, -0.3 + 0.8j]
-    cut = wg.suggested_cutoff(2, 1.0)
+    cut = oracles.suggested_cutoff(2, 1.0)
     table = wg.parity_table(alphas, 1, cut)
     for g, alpha in enumerate(alphas):
         for i, m in enumerate((1, 2)):
             for j, mp in enumerate((1, 2)):
-                direct = wg.displaced_parity_oracle(m, mp, alpha, check=False)
+                direct = oracles.displaced_parity_oracle(m, mp, alpha, check=False)
                 assert table[g, i, j] == pytest.approx(direct, abs=1e-10)
 
 
@@ -101,7 +104,7 @@ def test_closed_form_tables_match_parity_table(window):
     amax = float(np.max(np.abs(pts)))
     for index in sorted({window.n1, window.m1}):
         table = wg._k_tables(pts, index)
-        oracle = wg.parity_table(pts, index, wg.suggested_cutoff(index + 1, amax))
+        oracle = wg.parity_table(pts, index, oracles.suggested_cutoff(index + 1, amax))
         assert np.max(np.abs(table - oracle)) <= 1e-10
         # The table is displaced_parity element by element, bit for bit.
         rows = (index, index + 1)
