@@ -283,7 +283,8 @@ def correlation_report(rho):
     stack = rho.reshape(-1, 4, 4)
     general = x_corners(stack)[0]
     neg, conc, disc = np.empty((3, len(stack)))
-    neg[~general], conc[~general], disc[~general] = _x_measures(stack[~general])
+    if not general.all():
+        neg[~general], conc[~general], disc[~general] = _x_measures(stack[~general])
     if general.any():
         others = stack[general]
         neg[general], conc[general] = negativity(others), concurrence(others)

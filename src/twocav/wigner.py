@@ -62,6 +62,15 @@ def _check_points(points):
         raise DomainError("points must be even and >= 8")
 
 
+def _laguerre_last_two(n, k, x):
+    """L_{n-1}^k(x) and L_n^k(x), n >= 1, by the three-term recurrence
+    (L_0^k is the scalar 1.0)."""
+    prev, cur = 1.0, 1.0 + k - x
+    for j in range(1, n):
+        prev, cur = cur, ((2 * j + 1 + k - x) * cur - (j + k) * prev) / (j + 1)
+    return prev, cur
+
+
 def laguerre_assoc(n, k, x):
     """Generalized Laguerre polynomial L_n^k(x) by three-term recurrence.
 
@@ -71,10 +80,7 @@ def laguerre_assoc(n, k, x):
         raise DomainError("Laguerre indices must be non-negative")
     if n == 0:
         return 1.0
-    prev, cur = 1.0, 1.0 + k - x
-    for j in range(1, n):
-        prev, cur = cur, ((2 * j + 1 + k - x) * cur - (j + k) * prev) / (j + 1)
-    return cur
+    return _laguerre_last_two(n, k, x)[1]
 
 
 def displaced_parity(m, mp, alpha):
@@ -210,7 +216,9 @@ def integrate_field(field):
 # a radial integral over [0, L]^2.  A(f, g) is analytic except on the
 # curves |g| = |f|, where it goes as (|g| - |f|)^{3/2} on one side; the
 # Gaussians cancel there, so at a fixed ra the curves cross rb at roots of
-# polynomials.  Gauss-Legendre panels end on those roots and map their
+# polynomials; f is even in rb and g odd, so the roots of f - g are those of
+# f + g negated, and one companion solve per outer node finds both curves
+# (`_XState._kinks`).  Gauss-Legendre panels end on those roots and map their
 # nodes quadratically towards them, which makes the half-integer powers
 # analytic.  The inner integral, as a function of ra, is singular only
 # where roots of one polynomial meet (the real-root count changes there,
@@ -268,10 +276,11 @@ class _Mode:
     def _terms(self, r):
         """The three elements at r without their e^{-2 r^2}, from the
         Laguerre recurrence as in `displaced_parity` (the first is a scalar
-        at index 0)."""
+        at index 0).  L_n^0 is the step before L_{n+1}^0 in one recurrence."""
         n, x = self.index, 4.0 * r * r
-        return ((-1.0) ** n * laguerre_assoc(n, 0, x),
-                (-1.0) ** (n + 1) * laguerre_assoc(n + 1, 0, x),
+        ln, ln1 = _laguerre_last_two(n + 1, 0, x)
+        return ((-1.0) ** n * ln,
+                (-1.0) ** (n + 1) * ln1,
                 (-1.0) ** (n + 1) / math.sqrt(n + 1) * (-2.0 * r) * laguerre_assoc(n, 1, x))
 
     def polys(self, r):
@@ -452,13 +461,20 @@ class _XState:
         """At each ra, the rb in (0, extent) where f = g or f = -g, as an
         (N, 2 degree) array padded with the extent, and the number of real
         roots (at any rb) behind them, which changes only where two roots
-        of one of the two polynomials meet."""
+        of one of the two polynomials meet.  f is even in rb and g odd
+        (`_Mode.rpoly` holds exact zeros at the other powers), so f - g is
+        f + g with its odd coefficients negated, exactly: the roots of f + g,
+        negated, are those of f - g, and one companion solve per outer node
+        finds both curves (an escape root +inf becomes -inf, which is as
+        real and pads to the extent as well)."""
         a = self.a.polys(ra)
         c = self.pop.T @ a[:2]
         f = c.T @ self.b.rpoly[:2]
         g = np.outer(self.amp * a[2], self.b.rpoly[2])
         # With g = 0 both curves are f = 0.
-        z = _roots(np.concatenate([f + g, f - g]) if self.amp else f)
+        z = _roots(f + g if self.amp else f)
+        if self.amp:
+            z = np.concatenate([z, -z])
         real = _is_real(z)
         rb = np.where(real & (z.real > 0.0) & (z.real < self.extent), z.real, self.extent)
         parts = len(z) // len(ra)

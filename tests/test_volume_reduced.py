@@ -117,6 +117,19 @@ def test_radial_elements_match_displaced_parity(m):
         assert np.max(np.abs(got[k] - exact.real)) <= 1e-15
 
 
+@pytest.mark.parametrize("n", range(0, wg._REDUCED_MAX_INDEX + 1))
+def test_radial_elements_equal_separate_recurrences_bit_for_bit(n):
+    # K[n, n] and K[n+1, n+1] share one Laguerre recurrence; the values must
+    # be those of three separate evaluations, byte for byte.
+    r = np.concatenate([np.linspace(0.0, 7.0, 57), np.random.default_rng(n).uniform(0, 7, 64)])
+    x, e = 4.0 * r * r, np.exp(-2.0 * r * r)
+    want = np.stack([
+        (-1.0) ** n * wg.laguerre_assoc(n, 0, x) * e,
+        (-1.0) ** (n + 1) * wg.laguerre_assoc(n + 1, 0, x) * e,
+        (-1.0) ** (n + 1) / math.sqrt(n + 1) * (-2.0 * r) * wg.laguerre_assoc(n, 1, x) * e])
+    assert wg._Mode(n).values(r).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("m", [0, 1, 2, 5, 10, 15, 16])
 def test_radial_polynomial_roots_match_mpmath(m):
     # The kink edges come from companion-matrix roots of these polynomials
@@ -278,6 +291,62 @@ def test_fig5_volumes_converge_in_the_radial_nodes():
         assert np.max(np.abs(fine - twice)) <= 1e-9, name
         if name == "fig5b_volume":
             assert 0.24112777 <= fine[-1] < 0.24112778
+
+
+# --- the kink roots -------------------------------------------------------
+
+def _two_solve_kinks(x, ra):
+    """`_XState._kinks` with one companion solve per curve, f + g and f - g,
+    and the number of infinite roots among them."""
+    a = x.a.polys(ra)
+    f = (x.pop.T @ a[:2]).T @ x.b.rpoly[:2]
+    g = np.outer(x.amp * a[2], x.b.rpoly[2])
+    z = wg._roots(np.concatenate([f + g, f - g]) if x.amp else f)
+    real = wg._is_real(z)
+    rb = np.where(real & (z.real > 0.0) & (z.real < x.extent), z.real, x.extent)
+    parts = len(z) // len(ra)
+    return (rb.reshape(parts, len(ra), -1).swapaxes(0, 1).reshape(len(ra), -1),
+            real.reshape(parts, len(ra), -1).sum(axis=(0, 2)), int(np.isinf(z).sum()))
+
+
+def _kink_cases():
+    """(state, window, node counts): the fig5 states at their fine and
+    coarse rules, the escape-radius state of window (1, 3) alone and with
+    an EPR coherence, and seeded EPR and NOON states on windows up to (4, 4)."""
+    for _, scn, stack in _fig5_panels():
+        for rho in stack:
+            yield rho, scn.window, (scn.points, max(8, 2 * math.ceil(scn.points / 4)))
+    escape = np.diag([0.1824054125781749, 0.254710915234715, 0.2819291847511629,
+                      0.28095448743594725]).astype(complex)
+    epr = escape.copy()
+    epr[0, 3] = epr[3, 0] = 0.2
+    for rho in (escape, epr):
+        yield rho, FockWindow(1, 3), (32, 16)
+    rng = np.random.default_rng(32)
+    for n1 in range(5):
+        for m1 in range(5):
+            for kind in ("epr", "noon"):
+                yield _x_state(rng, kind), FockWindow(n1, m1), (16, 8)
+
+
+def test_one_solve_kinks_match_two_solves():
+    # f - g is f + g with the odd powers of rb negated, so `_kinks` takes
+    # its roots as those of f + g negated.  Rows: the outer nodes of each
+    # rule as `volume` lays them out, and the outer edges, where a root of
+    # f + g escapes to +inf (and one of f - g to -inf).
+    escapes = 0
+    for rho, window, orders in _kink_cases():
+        x = wg._XState(rho, wg.default_extent(window), window)
+        for q in orders:
+            x.volume(q)
+            ra = np.concatenate([x._outer_nodes(q)[0], x.outer])
+            kinks, count = x._kinks(ra)
+            want, want_count, infinite = _two_solve_kinks(x, ra)
+            escapes += infinite * (x.amp > 0)
+            assert np.array_equal(count, want_count)
+            got, want = np.sort(kinks, axis=1), np.sort(want, axis=1)
+            assert np.all(np.abs(got - want) <= 1e-14 * want)
+    assert escapes > 0
 
 
 # --- the working set of the radial quadrature -----------------------------
