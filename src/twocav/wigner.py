@@ -28,11 +28,10 @@ X-state section below).  The coarse twin is the same rule at half the
 points.  `wigner_field` and `integrate_field`, the trapezoid rule on the
 box [-L, L]^4, stay as a test reference.
 
-The Laguerre closed form `displaced_parity` fills every table.
-`parity_table` (batched eigendecomposition) is an independent test oracle
-for it and is not used to build the Wigner function.  The other oracle,
-expm of the truncated generator, is in tests/oracles.py, and the printed
-closed form that `displaced_parity` replaces is in tests/errata.py.
+`_Mode`, the Laguerre closed form at real radii, is the one source of the
+elements (`_k_tables` puts the phase of alpha on the off-diagonal).
+`parity_table` (batched eigendecomposition) is a test oracle for it; the
+others are in tests/oracles.py and the printed form in tests/errata.py.
 """
 
 import functools
@@ -83,28 +82,63 @@ def laguerre_assoc(n, k, x):
     return _laguerre_last_two(n, k, x)[1]
 
 
-def displaced_parity(m, mp, alpha):
-    """Displaced-parity element K[m, m'] = (-1)^{m'} <m| D(2 alpha) |m'>.
+def _radial_coeffs(m, d):
+    """Coefficients c, highest power first, with K[m, m + d] = r^d e^{-2 r^2}
+    sum_i c_i r^{2i} at real r >= 0: the Laguerre closed form (-1)^{m+d}
+    sqrt(m!/(m+d)!) (-2r)^d L_m^d(4 r^2)."""
+    pre = ((-1.0) ** (m + d) * math.sqrt(math.factorial(m) / math.factorial(m + d))
+           * (-2.0) ** d)
+    return np.array([pre * (-1.0) ** i * math.comb(m + d, m - i) * 4.0**i / math.factorial(i)
+                     for i in range(m, -1, -1)])
 
-    Laguerre closed form of the displacement matrix element (Cahill and
-    Glauber, Phys. Rev. 177, 1857 (1969)), evaluated elementwise over an
-    array of alpha; for m' >= m it reads (-1)^{m'} sqrt(m!/m'!)
-    (-2 alpha^*)^{m'-m} e^{-2|alpha|^2} L_m^{m'-m}(4|alpha|^2), and m > m'
-    follows from Hermiticity.  numpy's 0**0 = 1 covers alpha = 0.
-    """
-    if m < 0 or mp < 0:
-        raise DomainError("Fock indices must be non-negative")
-    if m > mp:
-        return np.conj(displaced_parity(mp, m, alpha))
-    beta = 2.0 * np.asarray(alpha, dtype=complex)
-    b2 = np.abs(beta) ** 2
-    return (
-        (-1.0) ** mp
-        * math.sqrt(math.factorial(m) / math.factorial(mp))
-        * (-np.conj(beta)) ** (mp - m)
-        * np.exp(-0.5 * b2)
-        * laguerre_assoc(m, mp - m, b2)
-    )
+
+class _Mode:
+    """K[n, n], K[n+1, n+1] and K[n, n+1] of one mode at real radii, for
+    window index n, with K[m, m'] = (-1)^{m'} <m| D(2 alpha) |m'> in the
+    Laguerre closed form of Cahill and Glauber, Phys. Rev. 177, 1857 (1969)."""
+
+    def __init__(self, index):
+        self.index = index
+
+    @functools.cached_property
+    def xpoly(self):
+        """`_terms` as polynomials in x = r^2 (the last one divided by r),
+        padded to one length; built on first use, by `_XState` only, as
+        `_radial_coeffs` overflows on high indices."""
+        n, out = self.index, np.zeros((3, self.index + 2))
+        for row, c in zip(out, map(_radial_coeffs, (n, n + 1, n), (0, 0, 1))):
+            row[len(row) - len(c):] = c
+        return out
+
+    @functools.cached_property
+    def rpoly(self):
+        """`xpoly` as polynomials in r, for roots."""
+        out = np.zeros((3, 2 * self.index + 3))
+        out[:2, ::2], out[2, 1::2] = self.xpoly[:2], self.xpoly[2, 1:]
+        return out
+
+    def _terms(self, r):
+        """The three elements at r without their e^{-2 r^2}, from the
+        Laguerre recurrences (the first is a scalar at index 0).  L_n^0 is
+        the step before L_{n+1}^0 in one recurrence."""
+        n, x = self.index, 4.0 * r * r
+        ln, ln1 = _laguerre_last_two(n + 1, 0, x)
+        return ((-1.0) ** n * ln,
+                (-1.0) ** (n + 1) * ln1,
+                (-1.0) ** (n + 1) / math.sqrt(n + 1) * (-2.0 * r) * laguerre_assoc(n, 1, x))
+
+    def polys(self, r):
+        """`_terms` stacked: (3,) + r.shape."""
+        return np.stack(np.broadcast_arrays(*self._terms(r)))
+
+    def elements(self, r):
+        """The three elements at r, each of r's shape, in a tuple."""
+        e = np.exp(-2.0 * r * r)
+        return tuple(t * e for t in self._terms(r))
+
+    def values(self, r):
+        """`elements` stacked: (3,) + r.shape."""
+        return np.stack(self.elements(r))
 
 
 def parity_table(alphas, window_index, cutoff):
@@ -137,15 +171,25 @@ def parity_table(alphas, window_index, cutoff):
     return core * np.exp(1j * phases[:, None, None] * dm[None, :, :])
 
 
-def _k_tables(points, index):
-    """Tables K[g, p, q] of shape (G, 2, 2) for rows {index, index + 1}.
-    K[index + 1, index] is the conjugate of K[index, index + 1], as
-    `displaced_parity` returns it, so three Laguerre elements are built."""
+def _k_tables(r, phase, index):
+    """Tables K[..., p, q] for rows {index, index + 1} at alpha = r phase,
+    r >= 0 and |phase| = 1, of shape broadcast(r, phase) + (2, 2)."""
+    return _phased(_Mode(index).values(r), phase)
+
+
+def _phased(k, phase):
+    """`_k_tables` from the `_Mode` values k at r: the real diagonal, and
+    K[n, n+1] conj(phase) above it and its conjugate below."""
+    upper = k[2] * np.conj(phase)
+    return np.stack(np.broadcast_arrays(k[0], upper, np.conj(upper), k[1]),
+                    axis=-1).reshape(upper.shape + (2, 2))
+
+
+def _polar(points):
+    """|alpha| and alpha / |alpha| (1 at alpha = 0) of complex points."""
     pts = np.asarray(points, dtype=complex)
-    upper = displaced_parity(index, index + 1, pts)
-    return np.stack([displaced_parity(index, index, pts), upper, np.conj(upper),
-                     displaced_parity(index + 1, index + 1, pts)],
-                    axis=-1).reshape(-1, 2, 2)
+    r = np.abs(pts)
+    return r, np.divide(pts, r, out=np.ones_like(pts), where=r > 0)
 
 
 def _left(rho, ka):
@@ -157,22 +201,25 @@ def _left(rho, ka):
     return left.reshape(left.shape[:-2] + (4,))
 
 
+def _check_residue(residue):
+    if residue > IMAG_TOL:
+        raise ConsistencyError("Wigner function has imaginary residue %g" % residue)
+
+
 def _contract(left, kb):
     """W[..., a, b] = sum_c left[..., a, c] kb[b, c], real part, for a `_left`
     factor and mode-B tables whose trailing (2, 2) axes flatten to
     c = (l, j); raises if the imaginary residue exceeds IMAG_TOL."""
     w = left @ kb.reshape(-1, 4).T
-    residue = float(np.max(np.abs(w.imag)))
-    if residue > IMAG_TOL:
-        raise ConsistencyError("Wigner function has imaginary residue %g" % residue)
+    _check_residue(float(np.max(np.abs(w.imag))))
     return w.real
 
 
 def wigner_joint(rho, alpha, beta, window=FockWindow()):
     """Joint Wigner function W(alpha, beta) of a window state, or an array
     of them for a stack of states."""
-    w = _contract(_left(rho, _k_tables([alpha], window.n1)),
-                  _k_tables([beta], window.m1))
+    w = _contract(_left(rho, _k_tables(*_polar([alpha]), window.n1)),
+                  _k_tables(*_polar([beta]), window.m1))
     return _value(w[..., 0, 0])
 
 
@@ -188,7 +235,8 @@ def wigner_field(rho, points, window=FockWindow()):
     extent = default_extent(window)
     ax = np.linspace(-extent, extent, points)
     pts = (ax[:, None] + 1j * ax[None, :]).ravel()  # (Re, Im) grid, Re major
-    w = _contract(_left(rho, _k_tables(pts, window.n1)), _k_tables(pts, window.m1))
+    r, phase = _polar(pts)
+    w = _contract(_left(rho, _k_tables(r, phase, window.n1)), _k_tables(r, phase, window.m1))
     return WignerField(extent=extent, values=w.reshape((points,) * 4))
 
 
@@ -245,56 +293,6 @@ def _reduced(stack, window):
     return (~outside & ~corners.all(axis=-1) & np.isfinite(stack).all(axis=(-2, -1))
             & (stack == stack.conj().swapaxes(-1, -2)).all(axis=(-2, -1))
             & (max(window.n1, window.m1) + 1 <= _REDUCED_MAX_INDEX))
-
-
-def _radial_coeffs(m, d):
-    """Coefficients c, highest power first, with displaced_parity(m, m + d, r)
-    = r^d e^{-2 r^2} sum_i c_i r^{2i} at real r >= 0: the Laguerre closed
-    form (-1)^{m+d} sqrt(m!/(m+d)!) (-2r)^d L_m^d(4 r^2)."""
-    pre = ((-1.0) ** (m + d) * math.sqrt(math.factorial(m) / math.factorial(m + d))
-           * (-2.0) ** d)
-    return np.array([pre * (-1.0) ** i * math.comb(m + d, m - i) * 4.0**i / math.factorial(i)
-                     for i in range(m, -1, -1)])
-
-
-class _Mode:
-    """K[n, n], K[n+1, n+1] and K[n, n+1] of one mode at real radii, for
-    window index n."""
-
-    def __init__(self, index):
-        self.index = index
-        coeffs = (_radial_coeffs(index, 0), _radial_coeffs(index + 1, 0),
-                  _radial_coeffs(index, 1))
-        # Their polynomials in x = r^2 (the last one divided by r), padded to
-        # one length, and in r, for roots.
-        self.xpoly = np.zeros((3, index + 2))
-        self.rpoly = np.zeros((3, 2 * index + 3))
-        for xrow, rrow, c, d in zip(self.xpoly, self.rpoly, coeffs, (0, 0, 1)):
-            xrow[len(xrow) - len(c):] = c
-            rrow[len(rrow) - 1 - d - 2 * np.arange(len(c) - 1, -1, -1)] = c
-
-    def _terms(self, r):
-        """The three elements at r without their e^{-2 r^2}, from the
-        Laguerre recurrence as in `displaced_parity` (the first is a scalar
-        at index 0).  L_n^0 is the step before L_{n+1}^0 in one recurrence."""
-        n, x = self.index, 4.0 * r * r
-        ln, ln1 = _laguerre_last_two(n + 1, 0, x)
-        return ((-1.0) ** n * ln,
-                (-1.0) ** (n + 1) * ln1,
-                (-1.0) ** (n + 1) / math.sqrt(n + 1) * (-2.0 * r) * laguerre_assoc(n, 1, x))
-
-    def polys(self, r):
-        """`_terms` stacked: (3,) + r.shape."""
-        return np.stack(np.broadcast_arrays(*self._terms(r)))
-
-    def elements(self, r):
-        """The three elements at r, each of r's shape, in a tuple."""
-        e = np.exp(-2.0 * r * r)
-        return tuple(t * e for t in self._terms(r))
-
-    def values(self, r):
-        """`elements` stacked: (3,) + r.shape."""
-        return np.stack(self.elements(r))
 
 
 # A root pair that is double to within rounding comes out of the companion
@@ -556,17 +554,17 @@ def _polar_volumes(stack, extent, window, q):
     the real mode-B elements at rb, so phi_b integrates in closed form
     (`_angular_abs`).  ra and rb take q Gauss-Legendre nodes on each radial
     panel of width at most _OUTER_WIDTH, and phi_a the periodic trapezoid
-    rule with q nodes.  The K tables are built once, and each state's
-    `_left` factor is formed in turn.  If a table is not finite, every
-    volume is NaN, and so is the volume of a state whose factor is not."""
+    rule with q nodes.  `_Mode` runs on the R radii only, and mode A's
+    tables take the q phases e^{2 pi i k/q}; each state's `_left` factor is
+    formed in turn.  If an element is not finite, every volume is NaN, and
+    so is the volume of a state whose factor is not."""
     r, wr = _panel_nodes(*_split_wide(np.array([0.0, extent]), np.zeros(2, bool),
                                       _OUTER_WIDTH), q)
     wr = wr * r
-    ka = _k_tables((r[:, None] * np.exp(2j * math.pi * np.arange(q) / q)).ravel(),
-                   window.n1)  # ra major
-    kb = _k_tables(r, window.m1).real.reshape(-1, 4)
-    if not (np.isfinite(ka).all() and np.isfinite(kb).all()):
+    a, kb = _Mode(window.n1).values(r), _Mode(window.m1).values(r)
+    if not (np.isfinite(a).all() and np.isfinite(kb).all()):
         return np.full(len(stack), np.nan)
+    ka = _phased(a[:, :, None], np.exp(2j * math.pi * np.arange(q) / q)).reshape(-1, 2, 2)
     step = max(1, _ELEMENTS // len(r))
     out = np.empty(len(stack))
     for k, one in enumerate(stack):
@@ -574,16 +572,14 @@ def _polar_volumes(stack, extent, window, q):
         if not np.isfinite(left).all():  # `_angular_abs` reads a NaN g as 0
             out[k] = np.nan
             continue
-        residue = max(np.max(np.abs(left[:, [0, 3]].imag)),
-                      np.max(np.abs(left[:, 2] - np.conj(left[:, 1]))))
-        if residue > IMAG_TOL:
-            raise ConsistencyError("Wigner function has imaginary residue %g" % residue)
+        _check_residue(max(np.max(np.abs(left[:, [0, 3]].imag)),
+                           np.max(np.abs(left[:, 2] - np.conj(left[:, 1])))))
         inner = np.empty(len(left))
         for s in range(0, len(left), step):
             rows = left[s:s + step, :, None]
-            f = rows[:, 0].real * kb[:, 0] + rows[:, 3].real * kb[:, 3]
+            f = rows[:, 0].real * kb[0] + rows[:, 3].real * kb[1]
             inner[s:s + step] = np.sum(
-                wr * _angular_abs(f, 2.0 * np.abs(rows[:, 1]) * kb[:, 1]), axis=1)
+                wr * _angular_abs(f, 2.0 * np.abs(rows[:, 1]) * kb[2]), axis=1)
         total = np.sum(wr * np.mean(inner.reshape(len(r), q), axis=1))
         out[k] = 0.5 * (2.0 * math.pi * total - 1.0)
     return out

@@ -7,8 +7,8 @@ exact propagator, or the corrected discord branch).  The corrected forms
 are the production ones, and this module does not wrap them: the
 populations are the diagonal of `dynamics.evolve_analytic_vacuum`, the
 rho13 coherence comes from the generator behind `dynamics.evolve`, the
-displaced-parity element is `wigner.displaced_parity`, and the discord is
-`correlations.discord_x`.  The package does not import this module: it
+displaced-parity elements are those of `wigner._k_tables`, and the discord
+is `correlations.discord_x`.  The package does not import this module: it
 sits beside the tests, which import it as `errata`, and its name does not
 match test_*.py, so pytest does not collect it.
 """
@@ -95,8 +95,8 @@ def displaced_parity_printed(m, mp, alpha):
     Evaluated verbatim (with the factorial ratio read as m!/m'!), elementwise
     over an array of alpha: for m' >= m this is e^{-|a|^2} (-1)^m
     (2|a|)^{m'-m} sqrt(m!/m'!) L_m^{m'-m}(|a|); m > m' follows from
-    conjugate symmetry.  Correct at alpha = 0 but disagrees with
-    `wigner.displaced_parity` off the origin.
+    conjugate symmetry.  Correct at alpha = 0 but disagrees with the
+    `wigner._k_tables` entries off the origin.
     """
     if m < 0 or mp < 0:
         raise DomainError("Fock indices must be non-negative")

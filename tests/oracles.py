@@ -14,6 +14,7 @@ from scipy import integrate, linalg
 
 from twocav.correlations import _log_negativity_of, negativity
 from twocav.errors import DomainError, QuadratureConvergenceError
+from twocav.wigner import laguerre_assoc
 
 
 def gamma_kernel_quadrature(t, omega_c):
@@ -49,9 +50,35 @@ def _parity_from_displacement(d_rows, m_list):
     return out
 
 
+def displaced_parity(m, mp, alpha):
+    """Displaced-parity element K[m, m'] = (-1)^{m'} <m| D(2 alpha) |m'>.
+
+    Laguerre closed form of the displacement matrix element (Cahill and
+    Glauber, Phys. Rev. 177, 1857 (1969)), evaluated elementwise over an
+    array of alpha; for m' >= m it reads (-1)^{m'} sqrt(m!/m'!)
+    (-2 alpha^*)^{m'-m} e^{-2|alpha|^2} L_m^{m'-m}(4|alpha|^2), and m > m'
+    follows from Hermiticity.  numpy's 0**0 = 1 covers alpha = 0.  The
+    reference for `wigner._k_tables`, which evaluates the same closed form
+    at |alpha| and applies the phase of alpha.
+    """
+    if m < 0 or mp < 0:
+        raise DomainError("Fock indices must be non-negative")
+    if m > mp:
+        return np.conj(displaced_parity(mp, m, alpha))
+    beta = 2.0 * np.asarray(alpha, dtype=complex)
+    b2 = np.abs(beta) ** 2
+    return (
+        (-1.0) ** mp
+        * math.sqrt(math.factorial(m) / math.factorial(mp))
+        * (-np.conj(beta)) ** (mp - m)
+        * np.exp(-0.5 * b2)
+        * laguerre_assoc(m, mp - m, b2)
+    )
+
+
 def displaced_parity_oracle(m, mp, alpha, cutoff=None, check=True):
     """Displaced-parity element from the truncated generator, the oracle
-    for `wigner.displaced_parity`.
+    for `displaced_parity` and the `wigner._k_tables` entries.
 
     Builds D(alpha) = expm(alpha a^dag - alpha^* a) at the given Fock
     cutoff.  With check=True the value is compared against cutoff + 10 and

@@ -285,7 +285,8 @@ def test_criterion_9_errata_enforced():
     for m, mp in ((0, 0), (0, 1), (1, 2), (2, 2)):
         oracle = oracles.displaced_parity_oracle(m, mp, alpha)
         printed = errata.displaced_parity_printed(m, mp, alpha)
-        fixed = wigner.displaced_parity(m, mp, alpha)
+        lo = min(m, mp)
+        fixed = wigner._k_tables(*wigner._polar(alpha), lo)[m - lo, mp - lo]
         worst_printed = max(worst_printed, abs(printed - oracle))
         worst_fixed = max(worst_fixed, abs(fixed - oracle))
     ok &= worst_printed > 1e-3 and worst_fixed <= 1e-10

@@ -270,9 +270,9 @@ def test_cli_quadrature_exit_4(tmp_path):
 
 
 def test_cli_nan_volume_exit_4(tmp_path, capsys):
-    # At n1 = 400 the displaced-parity recurrence overflows on the volume
-    # nodes, and a NaN volume must fail the gate, not reach the CSV; at
-    # n1 = 200 the tables stay finite and the gap fails it.
+    # At n1 = 400 the `_Mode` Laguerre recurrence overflows on the volume
+    # radii, and a NaN volume must fail the gate, not reach the CSV; at
+    # n1 = 200 the elements stay finite and the gap fails it.
     for n1, nan in ((200, False), (400, True)):
         text = BASE.replace("m1 = 0", "n1 = %d\nm1 = 0" % n1).replace("steps = 10", "steps = 2")
         path = _write(tmp_path, text + "points = 10\n")

@@ -18,6 +18,8 @@ from twocav import cli, dynamics, scenario, states, wigner as wg
 from twocav.errors import ConsistencyError
 from twocav.states import FockWindow
 
+import oracles
+
 C4 = 4.0 / math.pi**2
 
 
@@ -112,7 +114,7 @@ def test_radial_elements_match_displaced_parity(m):
     r = np.linspace(0.0, 7.0, 57)
     got = wg._Mode(m).values(r)
     for k, (p, q) in enumerate(((m, m), (m + 1, m + 1), (m, m + 1))):
-        exact = wg.displaced_parity(p, q, r)
+        exact = oracles.displaced_parity(p, q, r)
         assert np.max(np.abs(exact.imag)) <= 1e-15
         assert np.max(np.abs(got[k] - exact.real)) <= 1e-15
 
@@ -128,6 +130,20 @@ def test_radial_elements_equal_separate_recurrences_bit_for_bit(n):
         (-1.0) ** (n + 1) * wg.laguerre_assoc(n + 1, 0, x) * e,
         (-1.0) ** (n + 1) / math.sqrt(n + 1) * (-2.0 * r) * wg.laguerre_assoc(n, 1, x) * e])
     assert wg._Mode(n).values(r).tobytes() == want.tobytes()
+
+
+def test_modes_up_to_the_index_bound_build_no_root_polynomials():
+    # The parser admits window indices up to 1000, and `_radial_coeffs`
+    # overflows long before: a `_Mode` builds its root polynomials only
+    # when `_XState` reads them, so every index constructs and evaluates.
+    for index in range(1001):
+        mode = wg._Mode(index)
+    with pytest.raises(OverflowError):
+        mode.xpoly
+    r = np.linspace(0.0, 3.0, 31)
+    got = mode.values(r)
+    for k, (p, q) in enumerate(((1000, 1000), (1001, 1001), (1000, 1001))):
+        assert np.max(np.abs(got[k] - oracles.displaced_parity(p, q, r))) <= 1e-15
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 5, 10, 15, 16])

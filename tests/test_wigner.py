@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -61,7 +62,7 @@ def test_displaced_parity_oracle_cutoff_guard():
 
 
 def test_negative_fock_indices_raise():
-    for element in (wg.displaced_parity, oracles.displaced_parity_oracle):
+    for element in (oracles.displaced_parity, oracles.displaced_parity_oracle):
         for m, mp in ((-1, 0), (0, -1)):
             with pytest.raises(DomainError):
                 element(m, mp, 0.2)
@@ -102,14 +103,47 @@ def test_closed_form_tables_match_parity_table(window):
     re, im = np.meshgrid(ax, ax, indexing="ij")
     pts = (re + 1j * im).ravel()
     amax = float(np.max(np.abs(pts)))
+    r, phase = wg._polar(pts)
     for index in sorted({window.n1, window.m1}):
-        table = wg._k_tables(pts, index)
+        table = wg._k_tables(r, phase, index)
         oracle = wg.parity_table(pts, index, oracles.suggested_cutoff(index + 1, amax))
         assert np.max(np.abs(table - oracle)) <= 1e-10
-        # The table is displaced_parity element by element, bit for bit.
-        rows = (index, index + 1)
-        each = [wg.displaced_parity(p, q, pts) for p in rows for q in rows]
-        assert table.tobytes() == np.stack(each, axis=-1).reshape(-1, 2, 2).tobytes()
+        # The table is _Mode(index).values(|alpha|) with the phase applied,
+        # bit for bit.
+        k = wg._Mode(index).values(r)
+        upper = k[2] * np.conj(phase)
+        want = np.stack([k[0], upper, np.conj(upper), k[1]], axis=-1).reshape(-1, 2, 2)
+        assert table.tobytes() == want.tobytes()
+
+
+def _k_element_40_digits(m, mp, alpha):
+    # The Laguerre closed form in mpmath at the working precision.
+    if m > mp:
+        return mpmath.conj(_k_element_40_digits(mp, m, alpha))
+    a = mpmath.mpc(alpha.real, alpha.imag)
+    x = 4 * abs(a) ** 2
+    return ((-1) ** mp * mpmath.sqrt(mpmath.factorial(m) / mpmath.factorial(mp))
+            * (-2 * mpmath.conj(a)) ** (mp - m) * mpmath.exp(-x / 2)
+            * mpmath.laguerre(m, mp - m, x))
+
+
+@pytest.mark.parametrize("index", [0, 1, 2, 3, 8, 16, 17, 30])
+def test_k_tables_match_40_digit_closed_form(index):
+    # 40 seeded points on the disk of window (index, index)'s extent, and
+    # the origin, where the tables are exactly diag((-1)^n, (-1)^(n+1)).
+    rng = np.random.default_rng(index)
+    extent = wg.default_extent(FockWindow(index, index))
+    pts = (np.sqrt(rng.uniform(0.0, 1.0, 40)) * extent
+           * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, 40)))
+    table = wg._k_tables(*wg._polar(np.append(0.0, pts)), index)
+    sign = (-1.0) ** index
+    assert np.array_equal(table[0], [[sign, 0.0], [0.0, -sign]])
+    with mpmath.workdps(40):
+        want = np.array([[[complex(_k_element_40_digits(index + i, index + j, a))
+                           for j in (0, 1)] for i in (0, 1)] for a in pts])
+    # The worst error here is 8.3e-16 (index 17), for the complex-point
+    # closed form `oracles.displaced_parity` on these points as well.
+    assert np.max(np.abs(table[1:] - want)) <= 1e-15
 
 
 def test_wigner_joint_matches_field_at_grid_points():
